@@ -12,6 +12,10 @@
 //! * [`VictimCache`] — Jouppi's small fully-associative victim buffer
 //!   (mentioned by the paper for direct-mapped primaries; used here in
 //!   ablations).
+//! * [`LruStackGrid`] — every LRU write-back cache of a sweep in one
+//!   pass: one MRU stack per set count serves all associativities
+//!   (Mattson et al.'s inclusion property), byte-identical to one
+//!   [`SetAssocCache`] per cell.
 //! * [`SetSampling`] — set sampling (Kessler, Hill & Wood) used by the
 //!   paper to estimate secondary-cache hit rates cheaply (Table 4).
 //!
@@ -46,6 +50,7 @@ mod hierarchy;
 pub mod reference;
 mod sampling;
 mod split;
+mod stack_grid;
 mod stats;
 mod victim;
 mod victim_l1;
@@ -55,6 +60,7 @@ pub use config::{CacheConfig, CacheConfigError, Replacement, WritePolicy};
 pub use hierarchy::{HierarchyOutcome, TwoLevel};
 pub use sampling::SetSampling;
 pub use split::SplitL1;
+pub use stack_grid::{LruStackGrid, StackGridError};
 pub use stats::CacheStats;
 pub use victim::{VictimCache, VictimOutcome};
 pub use victim_l1::{VictimL1, VictimL1Outcome};

@@ -41,6 +41,27 @@ impl CacheStats {
         Self::default()
     }
 
+    /// Statistics from raw counts: per-kind accesses and misses, indexed
+    /// by [`AccessKind::as_index`], plus write-backs. For simulators that
+    /// tally outcomes in their own layout (the LRU stack grid derives
+    /// every cell's misses from one stack-distance histogram).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kind has more misses than accesses.
+    pub fn from_counts(accesses: [u64; 3], misses: [u64; 3], writebacks: u64) -> Self {
+        assert!(
+            misses.iter().zip(&accesses).all(|(m, a)| m <= a),
+            "misses {misses:?} exceed accesses {accesses:?}"
+        );
+        CacheStats {
+            accesses,
+            misses,
+            writebacks,
+            invalidations: 0,
+        }
+    }
+
     /// Records an access of `kind` which either hit or missed.
     #[inline]
     pub fn record(&mut self, kind: AccessKind, hit: bool) {
@@ -193,6 +214,22 @@ mod tests {
         assert_eq!(a.hits(), 1);
         assert_eq!(a.writebacks, 2);
         assert_eq!(a.invalidations, 1);
+    }
+
+    #[test]
+    fn from_counts_matches_recorded_stats() {
+        let mut s = CacheStats::new();
+        s.record(AccessKind::Load, true);
+        s.record(AccessKind::Load, false);
+        s.record(AccessKind::IFetch, false);
+        s.writebacks = 3;
+        assert_eq!(CacheStats::from_counts([2, 0, 1], [1, 0, 1], 3), s);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed accesses")]
+    fn from_counts_rejects_more_misses_than_accesses() {
+        CacheStats::from_counts([1, 0, 0], [2, 0, 0], 0);
     }
 
     #[test]

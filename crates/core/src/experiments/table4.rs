@@ -23,7 +23,7 @@ use streamsim_streams::StreamConfig;
 use crate::experiments::{table4_pairs, ExperimentOptions};
 use crate::report::size;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay, L2Observer, MissObserver, StreamObserver};
+use crate::{paper, replay, L2GridObserver, StreamObserver};
 
 /// The L2 capacities swept, smallest to largest.
 pub const L2_SIZES: [u64; 7] = [
@@ -88,32 +88,29 @@ fn measure(
 
     // The stream system and the full capacity × associativity L2 grid
     // observe the trace in one pass; the minimum-capacity scan then runs
-    // over the collected hit rates.
+    // over the collected hit rates. The grid simulates all 21 caches
+    // with one LRU stack per set count.
     let mut streams = StreamObserver::new(
         StreamConfig::paper_strided(10, CZONE_BITS).expect("paper stream configuration is valid"),
     );
-    let mut grid: Vec<(u64, L2Observer)> = L2_SIZES
+    let (caps, configs): (Vec<u64>, Vec<CacheConfig>) = L2_SIZES
         .iter()
         .flat_map(|&cap| [1u32, 2, 4].map(|assoc| (cap, assoc)))
-        .filter_map(|(cap, assoc)| {
-            let cfg = CacheConfig::secondary(cap, assoc, block).ok()?;
-            Some((cap, L2Observer::new(cfg, None).ok()?))
-        })
-        .collect();
-    {
-        let mut observers: Vec<&mut dyn MissObserver> = vec![&mut streams];
-        observers.extend(grid.iter_mut().map(|(_, o)| o as &mut dyn MissObserver));
-        replay(&trace, &mut observers);
-    }
+        .filter_map(|(cap, assoc)| Some((cap, CacheConfig::secondary(cap, assoc, block).ok()?)))
+        .unzip();
+    let mut grid = L2GridObserver::new(&configs).expect("secondary caches are LRU write-back");
+    replay(&trace, &mut [&mut streams, &mut grid]);
+    let l2_stats = grid.stats();
 
     let stream_hit = streams.stats().hit_rate();
     let mut min_l2_bytes = None;
     let mut l2_hit = 0.0;
     for &cap in &L2_SIZES {
-        let best = grid
+        let best = caps
             .iter()
-            .filter(|(c, _)| *c == cap)
-            .map(|(_, o)| o.stats().hit_rate())
+            .zip(&l2_stats)
+            .filter(|(c, _)| **c == cap)
+            .map(|(_, s)| s.hit_rate())
             .fold(0.0f64, f64::max);
         l2_hit = best;
         if best >= stream_hit {

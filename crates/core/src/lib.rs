@@ -14,9 +14,10 @@
 //!   geometry, sampling) key; drivers sharing a store via
 //!   [`experiments::ExperimentOptions`] simulate each L1 exactly once.
 //! * [`replay`] — drives any number of [`MissObserver`]s
-//!   ([`StreamObserver`], [`L2Observer`], or custom) over one recorded
-//!   trace in a single pass ([`replay_streams`], [`replay_l2`];
-//!   [`run_streams`] and [`run_l2`] are the one-observer wrappers).
+//!   ([`StreamObserver`], [`L2Observer`], [`L2GridObserver`], or custom)
+//!   over one recorded trace in a single pass ([`replay_streams`],
+//!   [`replay_l2`]; [`run_streams`] and [`run_l2`] are the one-cell
+//!   wrappers).
 //! * [`experiments`] — one driver per table and figure in the paper's
 //!   evaluation (Tables 1–4, Figures 3, 5, 8, 9) plus the ablation suite,
 //!   each printing measured results next to the paper's reported values.
@@ -63,8 +64,8 @@ pub use locality::{l2_geometry, profile_trace, stream_geometry};
 pub use miss_trace::{record_miss_trace, run_l2, run_streams, MissEvent, MissTrace, RecordOptions};
 pub use profile::{ProfileArtifact, ProfilePhase};
 pub use replay::{
-    replay, replay_chunked, replay_l2, replay_streams, FusedStreamObserver, L2Observer,
-    MissObserver, MixedGeometry, StreamObserver, REPLAY_CHUNK_EVENTS,
+    replay, replay_chunked, replay_l2, replay_streams, FusedStreamObserver, L2GridObserver,
+    L2Observer, MissObserver, MixedGeometry, StreamObserver, REPLAY_CHUNK_EVENTS,
 };
 pub use runner::{parallel_map, parallel_map_on, parallel_map_with_threads, ExecutorHandle};
 pub use sink::{

@@ -198,9 +198,7 @@ pub fn run_l2(
     config: CacheConfig,
     sampling: Option<SetSampling>,
 ) -> Result<streamsim_cache::CacheStats, CacheConfigError> {
-    let mut observer = crate::replay::L2Observer::new(config, sampling)?;
-    crate::replay(trace, &mut [&mut observer]);
-    Ok(observer.stats())
+    Ok(crate::replay_l2(trace, &[(config, sampling)])?.remove(0))
 }
 
 #[cfg(test)]

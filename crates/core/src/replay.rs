@@ -25,16 +25,21 @@
 //! configurations sharing one block/word geometry — the shape of every
 //! paper sweep (ten stream counts, four filter sizes...) — splitting
 //! each address into block and word exactly once per event instead of
-//! once per configuration. Drivers with bespoke plumbing (e.g. the
-//! Jouppi topology, where a secondary cache sees only the stream-miss
-//! residual) implement [`MissObserver`] themselves and join the same
-//! pass.
+//! once per configuration. A fourth, [`L2GridObserver`], does the same
+//! for secondary caches: every LRU write-back cell of a sweep in one
+//! [`LruStackGrid`], one MRU stack per set count. Drivers with bespoke
+//! plumbing (e.g. the Jouppi topology, where a secondary cache sees only
+//! the stream-miss residual) implement [`MissObserver`] themselves and
+//! join the same pass.
 
 // lint:hot-module — the replay loop touches every recorded miss event per observer
 
 use std::fmt;
 
-use streamsim_cache::{CacheConfig, CacheConfigError, CacheStats, SetAssocCache, SetSampling};
+use streamsim_cache::{
+    CacheConfig, CacheConfigError, CacheStats, LruStackGrid, SetAssocCache, SetSampling,
+    StackGridError,
+};
 use streamsim_streams::{StreamConfig, StreamStats, StreamSystem};
 use streamsim_trace::{AccessKind, Addr, BlockAddr, BlockSize, WordAddr, WordSize};
 
@@ -488,10 +493,98 @@ pub fn replay_streams(trace: &MissTrace, configs: &[StreamConfig]) -> Vec<Stream
     }
 }
 
-/// Replays `trace` against every secondary-cache cell in one pass.
+/// Every LRU write-back secondary cache of a sweep as one observer: an
+/// [`LruStackGrid`] keeps one MRU stack per set count and answers hit or
+/// miss for every associativity at once.
 ///
-/// Equivalent to N calls of [`crate::run_l2`], but the event vector is
-/// walked once.
+/// Statistics are byte-identical to one [`L2Observer`] per cell, and so
+/// are the observability totals: [`fan_out`](MissObserver::fan_out) is
+/// the cell count and every event charges one `L2Probes` per cell.
+#[derive(Debug)]
+pub struct L2GridObserver {
+    grid: LruStackGrid,
+    /// Per-chunk reference scratch (a write-back is a store), reused
+    /// across chunks.
+    refs: Vec<(Addr, AccessKind)>,
+    counters: streamsim_obs::Counters,
+}
+
+impl L2GridObserver {
+    /// Builds the grid for `configs`, charging probe counts to the
+    /// global observability set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StackGridError`] unless every configuration is LRU
+    /// with write-back/write-allocate and they share one block size.
+    pub fn new(configs: &[CacheConfig]) -> Result<Self, StackGridError> {
+        Self::with_counters(configs, streamsim_obs::Counters::global())
+    }
+
+    /// Like [`L2GridObserver::new`], but charging probe counts to
+    /// `counters`.
+    ///
+    /// # Errors
+    ///
+    /// See [`L2GridObserver::new`].
+    pub fn with_counters(
+        configs: &[CacheConfig],
+        counters: streamsim_obs::Counters,
+    ) -> Result<Self, StackGridError> {
+        Ok(L2GridObserver {
+            grid: LruStackGrid::new(configs)?,
+            refs: Vec::new(),
+            counters,
+        })
+    }
+
+    /// The counter set this observer charges (scoped or global).
+    pub fn counters(&self) -> &streamsim_obs::Counters {
+        &self.counters
+    }
+
+    /// Every cell's statistics, in configuration order (call after
+    /// [`replay`]).
+    pub fn stats(&self) -> Vec<CacheStats> {
+        self.grid.stats()
+    }
+}
+
+impl MissObserver for L2GridObserver {
+    fn on_fetch(&mut self, addr: Addr, kind: AccessKind) {
+        self.on_events(&[MissEvent::Fetch { addr, kind }]);
+    }
+
+    fn on_writeback(&mut self, base: Addr) {
+        self.on_events(&[MissEvent::Writeback { base }]);
+    }
+
+    fn on_events(&mut self, events: &[MissEvent]) {
+        self.counters.add(
+            streamsim_obs::Counter::L2Probes,
+            events.len() as u64 * self.fan_out(),
+        );
+        self.refs.clear();
+        self.refs.extend(events.iter().map(|event| match *event {
+            MissEvent::Fetch { addr, kind } => (addr, kind),
+            MissEvent::Writeback { base } => (base, AccessKind::Store),
+        }));
+        self.grid.access_all(&self.refs);
+    }
+
+    fn fan_out(&self) -> u64 {
+        self.grid.cells() as u64
+    }
+}
+
+/// Replays `trace` against every secondary-cache cell in one pass — the
+/// one L2 replay entry point ([`crate::run_l2`] is its one-cell case).
+///
+/// Unsampled LRU write-back/write-allocate cells sharing the first such
+/// cell's block size join one [`L2GridObserver`]; every other cell
+/// (FIFO, random or tree-PLRU replacement, write-through, set-sampled,
+/// or another block size) gets its own [`L2Observer`] in the same pass.
+/// Results come back in input order either way.
 ///
 /// # Errors
 ///
@@ -501,18 +594,49 @@ pub fn replay_l2(
     trace: &MissTrace,
     cells: &[(CacheConfig, Option<SetSampling>)],
 ) -> Result<Vec<CacheStats>, CacheConfigError> {
-    let mut observers = cells
+    let joins = |&(config, sampling): &(CacheConfig, Option<SetSampling>)| {
+        sampling.is_none() && LruStackGrid::admits(&config)
+    };
+    let grid_block = cells.iter().find(|c| joins(c)).map(|(c, _)| c.block());
+    let in_grid: Vec<bool> = cells
         .iter()
-        .map(|&(config, sampling)| L2Observer::new(config, sampling))
+        .map(|c| joins(c) && Some(c.0.block()) == grid_block)
+        .collect();
+    let grid_configs: Vec<CacheConfig> = cells
+        .iter()
+        .zip(&in_grid)
+        .filter(|(_, &g)| g)
+        .map(|(c, _)| c.0)
+        .collect();
+    let mut grid = L2GridObserver::new(&grid_configs)
+        // lint:allow(no-unwrap-hot, in_grid admits only unsampled LRU write-back cells of grid_block, exactly what the grid accepts)
+        .expect("grid cells are LRU write-back with one block size");
+    let mut fallback = cells
+        .iter()
+        .zip(&in_grid)
+        .filter(|(_, &g)| !g)
+        .map(|(&(config, sampling), _)| L2Observer::new(config, sampling))
         .collect::<Result<Vec<_>, _>>()?;
     {
-        let mut refs: Vec<&mut dyn MissObserver> = observers
-            .iter_mut()
-            .map(|o| o as &mut dyn MissObserver)
-            .collect();
+        let mut refs: Vec<&mut dyn MissObserver> = Vec::with_capacity(fallback.len() + 1);
+        if !grid_configs.is_empty() {
+            refs.push(&mut grid);
+        }
+        refs.extend(fallback.iter_mut().map(|o| o as &mut dyn MissObserver));
         replay(trace, &mut refs);
     }
-    Ok(observers.iter().map(L2Observer::stats).collect())
+    let mut grid_stats = grid.stats().into_iter();
+    let mut fallback_stats = fallback.iter().map(L2Observer::stats);
+    Ok(in_grid
+        .iter()
+        .filter_map(|&g| {
+            if g {
+                grid_stats.next()
+            } else {
+                fallback_stats.next()
+            }
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -521,7 +521,8 @@ impl Parser<'_> {
                         }
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
-                    other => return Err(format!("unsupported escape {other:?}")),
+                    None => return Err("unterminated string".into()),
+                    Some(other) => return Err(format!("unsupported escape {:?}", other as char)),
                 },
                 Some(b) if b < 0x80 => out.push(b as char),
                 Some(b) => {

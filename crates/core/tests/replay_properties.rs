@@ -8,9 +8,10 @@ use streamsim_prng::Rng;
 use streamsim_cache::{CacheConfig, Replacement, SetSampling};
 use streamsim_core::{
     record_miss_trace, replay, replay_chunked, replay_l2, replay_streams, run_l2, run_streams,
-    FusedStreamObserver, L2Observer, MissEvent, MissObserver, RecordOptions, StreamObserver,
-    TraceStore,
+    FusedStreamObserver, L2GridObserver, L2Observer, MissEvent, MissObserver, RecordOptions,
+    StreamObserver, TraceStore,
 };
+use streamsim_obs::{Counter, Counters};
 use streamsim_streams::StreamConfig;
 use streamsim_trace::{Access, AccessKind, Addr, BlockSize, WordSize};
 use streamsim_workloads::combinators::RecordedTrace;
@@ -81,35 +82,6 @@ fn multi_config_replay_equals_independent_passes() {
 
         let shared = replay_streams(&rec, &configs);
         let independent: Vec<_> = configs.iter().map(|&c| run_streams(&rec, c)).collect();
-        assert_eq!(shared, independent);
-    });
-}
-
-/// The same holds for L2 observers, with and without set sampling.
-#[test]
-fn multi_l2_replay_equals_independent_passes() {
-    check_with("multi_l2_replay_equals_independent_passes", 32, |g| {
-        let trace = accesses(g, 400);
-        let w = RecordedTrace::new("prop", trace);
-        let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
-
-        let cells: Vec<(CacheConfig, Option<SetSampling>)> = g.vec(1usize..4, |g| {
-            let kib = 1u64 << g.gen_range(4u32..8);
-            let assoc = 1u32 << g.gen_range(0u32..3);
-            let cfg = CacheConfig::new(kib * 1024, assoc, BlockSize::new(32).unwrap()).unwrap();
-            let sampling = if g.gen_bool(0.5) {
-                Some(SetSampling::new(2, 1))
-            } else {
-                None
-            };
-            (cfg, sampling)
-        });
-
-        let shared = replay_l2(&rec, &cells).unwrap();
-        let independent: Vec<_> = cells
-            .iter()
-            .map(|&(cfg, sampling)| run_l2(&rec, cfg, sampling).unwrap())
-            .collect();
         assert_eq!(shared, independent);
     });
 }
@@ -263,5 +235,129 @@ fn mixed_observers_do_not_interact() {
 
         assert_eq!(streams.stats(), run_streams(&rec, scfg));
         assert_eq!(l2.stats(), run_l2(&rec, l2cfg, None).unwrap());
+    });
+}
+
+/// A secondary-cache cell for the L2 entry-point properties: mostly grid
+/// eligible (LRU, write-back/write-allocate, unsampled, 32-byte blocks),
+/// the rest one of every kind the grid must hand to the fallback.
+fn l2_cell(g: &mut Gen) -> (CacheConfig, Option<SetSampling>) {
+    use streamsim_cache::WritePolicy;
+    let sets = 1u64 << g.gen_range(0u32..7);
+    let assoc = g.gen_range(1u32..=16);
+    let block = BlockSize::new(32).unwrap();
+    let lru = CacheConfig::new(sets * assoc as u64 * 32, assoc, block).unwrap();
+    match g.gen_range(0u32..12) {
+        0 => (lru.with_replacement(Replacement::Fifo), None),
+        1 => (
+            lru.with_replacement(Replacement::Random {
+                seed: g.gen_range(0u64..1 << 20),
+            }),
+            None,
+        ),
+        2 => {
+            let pow2 = 1u32 << g.gen_range(0u32..4);
+            let cfg = CacheConfig::new(sets * pow2 as u64 * 32, pow2, block).unwrap();
+            (cfg.with_replacement(Replacement::TreePlru), None)
+        }
+        3 => (
+            lru.with_write_policy(WritePolicy::WriteThroughNoAllocate),
+            None,
+        ),
+        4 if sets >= 2 => (lru, Some(SetSampling::new(1, g.gen_range(0u64..2)))),
+        5 => {
+            let wide = BlockSize::new(64).unwrap();
+            let cfg = CacheConfig::new(sets * assoc as u64 * 64, assoc, wide).unwrap();
+            (cfg, None)
+        }
+        _ => (lru, None),
+    }
+}
+
+/// The frozen reference model of one cell over a recorded miss trace:
+/// fetches are demand accesses, write-backs are stores.
+fn reference_l2(
+    rec: &streamsim_core::MissTrace,
+    cell: (CacheConfig, Option<SetSampling>),
+) -> streamsim_cache::CacheStats {
+    use streamsim_cache::reference::ReferenceCache;
+    let mut cache = match cell.1 {
+        Some(s) => ReferenceCache::with_sampling(cell.0, s).unwrap(),
+        None => ReferenceCache::new(cell.0).unwrap(),
+    };
+    for event in rec.events() {
+        match *event {
+            MissEvent::Fetch { addr, kind } => cache.access(addr, kind),
+            MissEvent::Writeback { base } => cache.access(base, AccessKind::Store),
+        };
+    }
+    *cache.stats()
+}
+
+/// One `replay_l2` pass equals independent passes for any mix of cells:
+/// grid-eligible cells (with duplicates) and every ineligible kind —
+/// FIFO, random, tree-PLRU, write-through, set-sampled, another block
+/// size — come back in input order, equal to the frozen reference cache
+/// and to a lone `L2Observer` per cell.
+#[test]
+fn multi_l2_replay_equals_independent_passes() {
+    check_with("multi_l2_replay_equals_independent_passes", 48, |g| {
+        let trace = accesses(g, 600);
+        let w = RecordedTrace::new("prop", trace);
+        let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
+
+        let mut cells: Vec<(CacheConfig, Option<SetSampling>)> = g.vec(1usize..12, l2_cell);
+        if g.gen_bool(0.3) {
+            let dup = cells[g.gen_range(0..cells.len())];
+            cells.insert(g.gen_range(0..=cells.len()), dup);
+        }
+        let shared = replay_l2(&rec, &cells).unwrap();
+        let lone: Vec<_> = cells
+            .iter()
+            .map(|&(config, sampling)| {
+                let mut o = L2Observer::new(config, sampling).unwrap();
+                replay(&rec, &mut [&mut o]);
+                o.stats()
+            })
+            .collect();
+        let frozen: Vec<_> = cells.iter().map(|&c| reference_l2(&rec, c)).collect();
+        assert_eq!(shared, frozen, "cells {cells:?}");
+        assert_eq!(lone, frozen);
+    });
+}
+
+/// The grid observer inside a replay pass is exact at every chunk
+/// length, and charges one L2 probe per event per cell.
+#[test]
+fn grid_observer_is_chunking_invariant() {
+    check_with("grid_observer_is_chunking_invariant", 32, |g| {
+        let trace = accesses(g, 600);
+        let w = RecordedTrace::new("prop", trace);
+        let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
+        let configs: Vec<CacheConfig> = g
+            .vec(1usize..10, l2_cell)
+            .into_iter()
+            .filter(|&(c, s)| {
+                s.is_none()
+                    && c.block().bytes() == 32
+                    && c.replacement() == Replacement::Lru
+                    && c.write_policy() == streamsim_cache::WritePolicy::WriteBackAllocate
+            })
+            .map(|(c, _)| c)
+            .collect();
+        let frozen: Vec<_> = configs
+            .iter()
+            .map(|&c| reference_l2(&rec, (c, None)))
+            .collect();
+        let random_len = g.gen_range(2usize..200);
+        for chunk_len in [0, 1, 7, random_len, 1024] {
+            let mut grid = L2GridObserver::with_counters(&configs, Counters::scoped()).unwrap();
+            replay_chunked(&rec, &mut [&mut grid], chunk_len);
+            assert_eq!(grid.stats(), frozen, "chunk length {chunk_len}");
+            assert_eq!(
+                grid.counters().get(Counter::L2Probes),
+                rec.events().len() as u64 * configs.len() as u64
+            );
+        }
     });
 }

@@ -213,6 +213,7 @@ fn hot_module_scan_matches_the_crate_tree() {
         scanned,
         vec![
             "crates/cache/src/cache.rs".to_owned(),
+            "crates/cache/src/stack_grid.rs".to_owned(),
             "crates/core/src/replay.rs".to_owned(),
             "crates/obs/src/hist.rs".to_owned(),
             "crates/streams/src/buffer.rs".to_owned(),

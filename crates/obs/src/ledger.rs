@@ -8,8 +8,8 @@
 //! detail rows. `streamsim-report --ledger` appends each summary as a
 //! [`LedgerEntry`] to `PERF_LEDGER.jsonl` ([`LEDGER_SCHEMA`]), and
 //! `--ledger-check` replays the whole history through [`check_ledger`]:
-//! the latest entry per benchmark must clear every [`metric_floors`]
-//! bound — the same floors `ci.sh` enforces live — and large regressions
+//! every floored benchmark needs at least one entry, and the latest
+//! entry per benchmark must clear every [`metric_floors`] bound — the same floors `ci.sh` enforces live — and large regressions
 //! against the best recorded entry surface as notes.
 //!
 //! Everything here is plain data and arithmetic; parsing stays with the
@@ -144,9 +144,10 @@ impl LedgerVerdict {
     }
 }
 
-/// Checks a ledger history: for each benchmark the entry with the
-/// highest `seq` (ties: latest in input order) must clear every
-/// matching floor; a latest metric more than [`DRIFT_NOTE_FRACTION`]
+/// Checks a ledger history: every floored benchmark must have at least
+/// one entry, and for each the entry with the highest `seq` (ties:
+/// latest in input order) must clear every matching floor; a latest
+/// metric more than [`DRIFT_NOTE_FRACTION`]
 /// below the best recorded value of a floored `AtLeast` metric earns an
 /// advisory note.
 pub fn check_ledger(entries: &[LedgerEntry]) -> LedgerVerdict {
@@ -157,7 +158,14 @@ pub fn check_ledger(entries: &[LedgerEntry]) -> LedgerVerdict {
             .filter(|e| e.benchmark == *benchmark)
             .collect();
         let Some(latest) = history.iter().max_by_key(|e| e.seq).copied() else {
-            continue; // no history for this benchmark yet
+            // A floor nobody measured cannot pass: the check would clear
+            // an empty or truncated ledger vacuously.
+            let missing =
+                format!("{benchmark}: no entries (every floored benchmark needs at least one row)");
+            if !verdict.failures.contains(&missing) {
+                verdict.failures.push(missing);
+            }
+            continue;
         };
         let Some(value) = latest.metric(metric) else {
             verdict.failures.push(format!(
@@ -218,9 +226,9 @@ mod tests {
         assert_eq!(e.metric("absent"), None);
     }
 
-    #[test]
-    fn healthy_history_passes() {
-        let entries = vec![
+    /// One passing row for every floored benchmark, seqs 1-4.
+    fn healthy() -> Vec<LedgerEntry> {
+        vec![
             entry(1, "recording", &[("speedup", 1.48)]),
             entry(2, "replay", &[("speedup", 1.36)]),
             entry(
@@ -228,8 +236,18 @@ mod tests {
                 "model",
                 &[("speedup", 6.9), ("simulated_fraction", 0.117)],
             ),
-        ];
-        let verdict = check_ledger(&entries);
+            entry(4, "lint", &[("files_scanned", 180.0)]),
+        ]
+    }
+
+    fn with(mut base: Vec<LedgerEntry>, extra: Vec<LedgerEntry>) -> Vec<LedgerEntry> {
+        base.extend(extra);
+        base
+    }
+
+    #[test]
+    fn healthy_history_passes() {
+        let verdict = check_ledger(&healthy());
         assert!(verdict.pass(), "{:?}", verdict.failures);
         assert!(verdict.notes.is_empty(), "{:?}", verdict.notes);
     }
@@ -237,16 +255,22 @@ mod tests {
     #[test]
     fn floor_violation_fails_on_latest_only() {
         // An old bad row is history; only the latest entry is judged.
-        let healed = vec![
-            entry(1, "recording", &[("speedup", 0.9)]),
-            entry(2, "recording", &[("speedup", 1.5)]),
-        ];
+        let healed = with(
+            healthy(),
+            vec![
+                entry(10, "recording", &[("speedup", 0.9)]),
+                entry(11, "recording", &[("speedup", 1.5)]),
+            ],
+        );
         assert!(check_ledger(&healed).pass());
 
-        let regressed = vec![
-            entry(1, "recording", &[("speedup", 1.5)]),
-            entry(2, "recording", &[("speedup", 0.9)]),
-        ];
+        let regressed = with(
+            healthy(),
+            vec![
+                entry(10, "recording", &[("speedup", 1.5)]),
+                entry(11, "recording", &[("speedup", 0.9)]),
+            ],
+        );
         let verdict = check_ledger(&regressed);
         assert!(!verdict.pass());
         assert!(verdict.failures[0].contains("speedup"), "{verdict:?}");
@@ -256,7 +280,7 @@ mod tests {
 
     #[test]
     fn missing_floored_metric_fails() {
-        let entries = vec![entry(1, "model", &[("speedup", 5.0)])];
+        let entries = with(healthy(), vec![entry(10, "model", &[("speedup", 5.0)])]);
         let verdict = check_ledger(&entries);
         assert!(!verdict.pass());
         assert!(
@@ -266,21 +290,38 @@ mod tests {
     }
 
     #[test]
-    fn empty_ledger_passes_vacuously() {
-        assert!(check_ledger(&[]).pass());
+    fn empty_ledger_fails_once_per_floored_benchmark() {
+        let verdict = check_ledger(&[]);
+        assert!(!verdict.pass());
+        assert_eq!(verdict.failures.len(), 4, "{verdict:?}");
+        for benchmark in ["recording", "replay", "model", "lint"] {
+            assert!(
+                verdict.failures.iter().any(|f| f.starts_with(benchmark)),
+                "{benchmark}: {verdict:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_ledger_missing_one_benchmark_fails() {
+        let mut entries = healthy();
+        entries.retain(|e| e.benchmark != "replay");
+        let verdict = check_ledger(&entries);
+        assert_eq!(verdict.failures.len(), 1, "{verdict:?}");
+        assert!(verdict.failures[0].contains("replay"), "{verdict:?}");
+        assert!(verdict.failures[0].contains("no entries"), "{verdict:?}");
     }
 
     #[test]
     fn truncated_lint_scan_fails_the_coverage_floor() {
-        let full = vec![entry(1, "lint", &[("files_scanned", 180.0)])];
-        assert!(check_ledger(&full).pass());
+        assert!(check_ledger(&healthy()).pass());
 
         // A root-only (or wrong-root) scan reaches a fraction of the
         // tree; the latest entry is judged, so it must fail.
-        let truncated = vec![
-            entry(1, "lint", &[("files_scanned", 180.0)]),
-            entry(2, "lint", &[("files_scanned", 12.0)]),
-        ];
+        let truncated = with(
+            healthy(),
+            vec![entry(10, "lint", &[("files_scanned", 12.0)])],
+        );
         let verdict = check_ledger(&truncated);
         assert!(!verdict.pass());
         assert!(verdict.failures[0].contains("files_scanned"), "{verdict:?}");
@@ -288,10 +329,13 @@ mod tests {
 
     #[test]
     fn drift_note_without_floor_violation() {
-        let entries = vec![
-            entry(1, "replay", &[("speedup", 2.0)]),
-            entry(2, "replay", &[("speedup", 1.4)]),
-        ];
+        let entries = with(
+            healthy(),
+            vec![
+                entry(10, "replay", &[("speedup", 2.0)]),
+                entry(11, "replay", &[("speedup", 1.4)]),
+            ],
+        );
         let verdict = check_ledger(&entries);
         assert!(verdict.pass(), "1.4 clears the 1.3 floor");
         assert_eq!(verdict.notes.len(), 1, "{verdict:?}");

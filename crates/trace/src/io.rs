@@ -65,6 +65,35 @@ fn decode(word: u64) -> io::Result<Access> {
     Ok(Access::new(Addr::new(word & ADDR_MASK), kind))
 }
 
+/// Records a decoder reserves before reading any: 1 MiB of [`Access`]es.
+/// A header's record count is untrusted input, so it never sizes an
+/// allocation by itself; past this the vector grows only as records
+/// actually arrive, which bounds memory by the bytes really present.
+const MAX_PREALLOC_RECORDS: usize = 1 << 16;
+
+/// The vector a decoder fills for a header claiming `count` records.
+fn records_for(count: u64) -> io::Result<Vec<Access>> {
+    let count = usize::try_from(count).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("trace header claims {count} records, more than this platform can address"),
+        )
+    })?;
+    Ok(Vec::with_capacity(count.min(MAX_PREALLOC_RECORDS)))
+}
+
+/// Maps an early end of input to a typed error naming the shortfall;
+/// other errors pass through.
+fn truncated(e: io::Error, count: u64, read: usize) -> io::Error {
+    if e.kind() != io::ErrorKind::UnexpectedEof {
+        return e;
+    }
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("truncated trace: header claims {count} records, input ends after {read}"),
+    )
+}
+
 /// Writes a trace to `writer` in the `SSTR` binary format.
 ///
 /// # Errors
@@ -93,7 +122,8 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &[Access]) -> io::Result<()> 
 ///
 /// Returns [`io::ErrorKind::InvalidData`] if the magic, version or a record
 /// is malformed, or if the stream ends before `count` records are read, and
-/// propagates underlying I/O errors.
+/// propagates underlying I/O errors. The header's count never sizes an
+/// allocation beyond what the records actually read need.
 pub fn read_trace<R: Read>(mut reader: R) -> io::Result<Vec<Access>> {
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
@@ -115,15 +145,12 @@ pub fn read_trace<R: Read>(mut reader: R) -> io::Result<Vec<Access>> {
     let mut count = [0u8; 8];
     reader.read_exact(&mut count)?;
     let count = u64::from_le_bytes(count);
-    let mut trace = Vec::with_capacity(usize::try_from(count).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "trace too large for this platform",
-        )
-    })?);
+    let mut trace = records_for(count)?;
     let mut word = [0u8; 8];
     for _ in 0..count {
-        reader.read_exact(&mut word)?;
+        reader
+            .read_exact(&mut word)
+            .map_err(|e| truncated(e, count, trace.len()))?;
         trace.push(decode(u64::from_le_bytes(word))?);
     }
     Ok(trace)
@@ -201,7 +228,8 @@ pub fn write_trace_compressed<W: Write>(mut writer: W, trace: &[Access]) -> io::
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidData`] for a bad magic, version or
-/// kind tag, and propagates underlying I/O errors.
+/// kind tag, or a stream that ends before the header's record count, and
+/// propagates underlying I/O errors.
 pub fn read_trace_compressed<R: Read>(mut reader: R) -> io::Result<Vec<Access>> {
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
@@ -222,16 +250,13 @@ pub fn read_trace_compressed<R: Read>(mut reader: R) -> io::Result<Vec<Access>> 
     let mut count = [0u8; 8];
     reader.read_exact(&mut count)?;
     let count = u64::from_le_bytes(count);
-    let mut trace = Vec::with_capacity(usize::try_from(count).map_err(|_| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            "trace too large for this platform",
-        )
-    })?);
+    let mut trace = records_for(count)?;
     let mut last = [0u64; 3];
     for _ in 0..count {
         let mut tag = [0u8; 1];
-        reader.read_exact(&mut tag)?;
+        reader
+            .read_exact(&mut tag)
+            .map_err(|e| truncated(e, count, trace.len()))?;
         let kind = match tag[0] {
             0 => AccessKind::Load,
             1 => AccessKind::Store,
@@ -243,7 +268,8 @@ pub fn read_trace_compressed<R: Read>(mut reader: R) -> io::Result<Vec<Access>> 
                 ))
             }
         };
-        let delta = unzigzag(read_varint(&mut reader)?);
+        let delta =
+            unzigzag(read_varint(&mut reader).map_err(|e| truncated(e, count, trace.len()))?);
         let addr = last[kind.as_index()].wrapping_add(delta as u64);
         last[kind.as_index()] = addr;
         trace.push(Access::new(Addr::new(addr), kind));
@@ -388,6 +414,35 @@ mod tests {
         write_trace_compressed(&mut buf, &[Access::load(Addr::new(8))]).unwrap();
         buf[16] = 7; // corrupt the kind byte
         assert!(read_trace_compressed(&buf[..]).is_err());
+    }
+
+    /// A 16-byte header claiming 2^40 records must fail cleanly instead
+    /// of reserving 16 TB up front.
+    #[test]
+    fn huge_record_count_in_a_short_file_is_a_typed_error() {
+        for version in [VERSION, VERSION_COMPRESSED] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&MAGIC);
+            buf.extend_from_slice(&version.to_le_bytes());
+            buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
+            let err = if version == VERSION {
+                read_trace(&buf[..]).unwrap_err()
+            } else {
+                read_trace_compressed(&buf[..]).unwrap_err()
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "v{version}");
+            assert!(err.to_string().contains("1099511627776"), "{err}");
+        }
+    }
+
+    #[test]
+    fn truncated_compressed_body_names_the_shortfall() {
+        let mut buf = Vec::new();
+        write_trace_compressed(&mut buf, &sample_trace()).unwrap();
+        buf.truncate(buf.len() - 1);
+        let err = read_trace_compressed(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("input ends after 3"), "{err}");
     }
 
     #[test]

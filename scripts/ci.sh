@@ -88,7 +88,10 @@ grep -q '"resolved_path":"FastMap' "$lint_dir/fixture-verbose.jsonl" \
 # --ledger and clear the files_scanned floor; a truncated scan (a tiny
 # --root) appended after it must turn the check red — the floor is what
 # keeps a wrong-directory lint run from reading as a clean workspace.
+# The scratch ledger starts from the committed history, since the check
+# also requires a row for every other floored benchmark.
 echo "==> lint bench row -> ledger round-trip (coverage floor)"
+cp PERF_LEDGER.jsonl "$lint_dir/ledger.jsonl"
 ./target/release/streamsim-report \
     --ledger "$lint_dir/BENCH_lint.json" --ledger-file "$lint_dir/ledger.jsonl"
 ./target/release/streamsim-report --ledger-check "$lint_dir/ledger.jsonl"
@@ -145,7 +148,8 @@ echo "==> perf ledger check (committed PERF_LEDGER.jsonl)"
 echo "==> perf ledger round-trip (BENCH_*.json -> fresh ledger)"
 ./target/release/streamsim-report \
     --ledger BENCH_recording.json --ledger BENCH_replay.json \
-    --ledger BENCH_model.json --ledger-file "$obs_dir/ledger.jsonl"
+    --ledger BENCH_model.json --ledger "$lint_dir/BENCH_lint.json" \
+    --ledger-file "$obs_dir/ledger.jsonl"
 ./target/release/streamsim-report --ledger-check "$obs_dir/ledger.jsonl"
 echo "==> perf ledger smoke (must fail on a regressed row)"
 cp PERF_LEDGER.jsonl "$obs_dir/regressed.jsonl"
@@ -155,6 +159,31 @@ if ./target/release/streamsim-report --ledger-check "$obs_dir/regressed.jsonl"; 
     echo "error: ledger check passed the seeded regression" >&2
     exit 1
 fi
+
+# Untrusted-input smokes: each input below once passed or aborted and
+# must now fail with exit status 1 and a named reason. A 16-byte trace
+# whose header claims 2^40 records (an abort, status 134, when the count
+# sized the allocation); an empty ledger (once "clears every metric
+# floor"); and a malformed --diff line (once "no drift").
+echo "==> untrusted-input smokes (must fail cleanly)"
+must_fail_cleanly() {
+    local expect=$1 status=0
+    shift
+    "$@" 2> "$obs_dir/stderr.txt" > /dev/null || status=$?
+    if [[ $status -ne 1 ]] || ! grep -q "$expect" "$obs_dir/stderr.txt"; then
+        echo "error: '$*' exited $status without '$expect' on stderr" >&2
+        exit 1
+    fi
+}
+printf 'SSTR\002\000\000\000\000\000\000\000\000\001\000\000' > "$obs_dir/huge.sstr"
+must_fail_cleanly '^error: .*truncated trace' \
+    ./target/release/streamsim-trace info "$obs_dir/huge.sstr"
+: > "$obs_dir/empty-ledger.jsonl"
+must_fail_cleanly 'recording: no entries' \
+    ./target/release/streamsim-report --ledger-check "$obs_dir/empty-ledger.jsonl"
+printf '{"a":"x\\' > "$obs_dir/malformed.jsonl"
+must_fail_cleanly '^error: .*malformed.jsonl:1' ./target/release/streamsim-report \
+    --diff "$obs_dir/malformed.jsonl" "$obs_dir/malformed.jsonl"
 
 # Deterministic-simulation smoke: the full seed sweeps already ran as
 # part of `cargo test` above; this re-runs the DST engine suite in

@@ -39,14 +39,14 @@
 #![warn(missing_docs)]
 
 pub use streamsim_cache::{
-    AccessOutcome, CacheConfig, CacheConfigError, CacheStats, Replacement, SetAssocCache,
-    SetSampling, SplitL1, VictimCache, WritePolicy,
+    AccessOutcome, CacheConfig, CacheConfigError, CacheStats, LruStackGrid, Replacement,
+    SetAssocCache, SetSampling, SplitL1, StackGridError, VictimCache, WritePolicy,
 };
 pub use streamsim_core::{
     experiments, l2_geometry, paper, parse_flat_json_line, profile_trace, record_miss_trace,
     render_json_lines, render_text, replay, replay_chunked, replay_l2, replay_streams, report,
     run_l2, run_streams, stream_geometry, Artifact, ArtifactSink, Cell, ExecutorHandle,
-    GuardedSink, JsonLinesSink, JsonValue, L1Summary, L2Observer, MemorySystem,
+    GuardedSink, JsonLinesSink, JsonValue, L1Summary, L2GridObserver, L2Observer, MemorySystem,
     MemorySystemBuilder, MissEvent, MissObserver, MissTrace, MultiSink, ProfileArtifact,
     ProfilePhase, RecordOptions, SimReport, StreamObserver, StreamTopology, TextSink, TraceStore,
     Value,

@@ -6,6 +6,28 @@ fn report() -> Command {
     Command::new(env!("CARGO_BIN_EXE_streamsim-report"))
 }
 
+/// Ledger rows that clear every floor, one per named benchmark, at
+/// `seq` 9, 10, 11... — the rest of a ledger for tests about one row.
+fn healthy_ledger_rows(benchmarks: &[&str]) -> String {
+    benchmarks
+        .iter()
+        .enumerate()
+        .map(|(i, &benchmark)| {
+            let metrics = match benchmark {
+                "model" => "\"speedup\":7.0,\"simulated_fraction\":0.12",
+                "lint" => "\"files_scanned\":180",
+                _ => "\"speedup\":1.5",
+            };
+            format!(
+                "{{\"schema\":\"streamsim-ledger-v1\",\"seq\":{},\"benchmark\":\"{benchmark}\",\
+                 \"run_config\":\"00ff\",\"scale\":\"quick\",\"samples\":3,\"run_steps\":100,\
+                 {metrics}}}\n",
+                9 + i
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn list_prints_all_experiments() {
     let out = report().arg("--list").output().expect("binary runs");
@@ -645,17 +667,18 @@ fn ledger_append_and_check_round_trip() {
     // The detail row stayed out of the ledger.
     assert_eq!(history.lines().count(), 1, "{history}");
 
+    // The other floored benchmarks have no rows yet: not a pass.
     let check = report()
         .args(["--ledger-check", ledger.to_str().unwrap()])
         .output()
         .expect("binary runs");
-    assert!(
-        check.status.success(),
-        "{}",
-        String::from_utf8_lossy(&check.stderr)
-    );
+    assert!(!check.status.success(), "a partial ledger must not pass");
 
-    // A second append sequences after the first.
+    // A second append sequences after the first; with every floored
+    // benchmark present the check passes.
+    let mut others = healthy_ledger_rows(&["replay", "model", "lint"]);
+    others.push_str(&std::fs::read_to_string(&ledger).unwrap());
+    std::fs::write(&ledger, others).unwrap();
     let append2 = report()
         .args([
             "--ledger",
@@ -667,7 +690,16 @@ fn ledger_append_and_check_round_trip() {
         .expect("binary runs");
     assert!(append2.status.success());
     let history = std::fs::read_to_string(&ledger).unwrap();
-    assert!(history.contains("\"seq\":2,"), "{history}");
+    assert!(history.contains("\"seq\":12,"), "{history}");
+    let check = report()
+        .args(["--ledger-check", ledger.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        check.status.success(),
+        "{}",
+        String::from_utf8_lossy(&check.stderr)
+    );
 
     for p in [&bench, &ledger] {
         std::fs::remove_file(p).ok();
@@ -700,8 +732,10 @@ fn ledger_check_fails_on_a_regressed_latest_row() {
     std::fs::remove_file(&ledger).ok();
 }
 
+/// Pre-v2 nested bench documents are no longer read: ingesting one is
+/// an error naming the file, and the ledger is left untouched.
 #[test]
-fn legacy_nested_bench_ingests_with_a_deprecation_note() {
+fn legacy_nested_bench_is_rejected() {
     let dir = std::env::temp_dir().join("streamsim-report-ledger-legacy-test");
     std::fs::create_dir_all(&dir).unwrap();
     let bench = dir.join("BENCH_legacy.json");
@@ -710,9 +744,7 @@ fn legacy_nested_bench_ingests_with_a_deprecation_note() {
     std::fs::write(
         &bench,
         "{\n  \"benchmark\": \"replay\",\n  \"scale\": \"quick\",\n  \"samples\": 5,\n  \
-         \"total_deliveries\": 4200,\n  \
-         \"reference\": {\"total_ns\": 200},\n  \"current\": {\"total_ns\": 100},\n  \
-         \"speedup\": 2.0,\n  \"per_family\": [\n    {\"family\":\"x\",\"speedup\":2.0}\n  ]\n}\n",
+         \"reference\": {\"total_ns\": 200},\n  \"speedup\": 2.0\n}\n",
     )
     .unwrap();
     let append = report()
@@ -724,24 +756,92 @@ fn legacy_nested_bench_ingests_with_a_deprecation_note() {
         ])
         .output()
         .expect("binary runs");
-    assert!(
-        append.status.success(),
-        "{}",
-        String::from_utf8_lossy(&append.stderr)
-    );
+    assert_eq!(append.status.code(), Some(1), "{append:?}");
     let err = String::from_utf8_lossy(&append.stderr);
-    assert!(err.contains("pre-v2"), "deprecation note expected: {err}");
-    let history = std::fs::read_to_string(&ledger).unwrap();
-    assert!(history.contains("\"benchmark\":\"replay\""), "{history}");
     assert!(
-        history.contains("\"run_steps\":4200"),
-        "legacy work count folds into run_steps: {history}"
+        err.contains("error:") && err.contains("BENCH_legacy.json:1"),
+        "{err}"
     );
-    // The nested per-family values never leak into the entry.
-    assert!(!history.contains("family"), "{history}");
-    for p in [&bench, &ledger] {
-        std::fs::remove_file(p).ok();
+    assert!(!ledger.exists(), "nothing may be appended");
+    std::fs::remove_file(&bench).ok();
+}
+
+/// `--ledger-check` must not pass vacuously: an empty ledger, and one
+/// missing a floored benchmark, both fail and name what is missing.
+#[test]
+fn ledger_check_rejects_empty_and_incomplete_ledgers() {
+    let dir = std::env::temp_dir().join("streamsim-report-ledger-empty-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ledger = dir.join("ledger.jsonl");
+    let cases = [
+        (String::new(), "recording"),
+        (
+            healthy_ledger_rows(&["recording", "model", "lint"]),
+            "replay",
+        ),
+    ];
+    for (rows, missing) in cases {
+        std::fs::write(&ledger, &rows).unwrap();
+        let check = report()
+            .args(["--ledger-check", ledger.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert_eq!(check.status.code(), Some(1), "missing {missing}: {check:?}");
+        let err = String::from_utf8_lossy(&check.stderr);
+        assert!(
+            err.contains(&format!("{missing}: no entries")),
+            "missing {missing}: {err}"
+        );
     }
+    std::fs::write(
+        &ledger,
+        healthy_ledger_rows(&["recording", "replay", "model", "lint"]),
+    )
+    .unwrap();
+    let check = report()
+        .args(["--ledger-check", ledger.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(check.status.success(), "{check:?}");
+    std::fs::remove_file(&ledger).ok();
+}
+
+/// A malformed JSONL line is an error in both readers, `--diff` (even
+/// when both sides hold the same bytes) and `--ledger`: an unterminated
+/// string, and a short `\\u` escape.
+#[test]
+fn malformed_lines_are_errors_in_diff_and_ledger() {
+    let dir = std::env::temp_dir().join("streamsim-report-malformed-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad.jsonl");
+    let ledger = dir.join("ledger.jsonl");
+    for line in ["{\"a\":\"x\\", "{\"a\":\"\\u12\"}\n"] {
+        std::fs::write(&path, line).unwrap();
+        let diff = report()
+            .args(["--diff", path.to_str().unwrap(), path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(!String::from_utf8_lossy(&diff.stdout).contains("no drift"));
+        let append = report()
+            .args([
+                "--ledger",
+                path.to_str().unwrap(),
+                "--ledger-file",
+                ledger.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(!ledger.exists(), "{line}: nothing may be appended");
+        for out in [diff, append] {
+            assert_eq!(out.status.code(), Some(1), "{line}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains("error:") && err.contains("bad.jsonl:1"),
+                "{line}: {err}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -968,7 +1068,12 @@ fn lint_bench_row_feeds_the_ledger_coverage_floor() {
     std::fs::create_dir_all(&dir).unwrap();
     let bench = dir.join("BENCH_lint.json");
     let ledger = dir.join("ledger.jsonl");
-    std::fs::remove_file(&ledger).ok();
+    // The other floored benchmarks, so only the lint row decides.
+    std::fs::write(
+        &ledger,
+        healthy_ledger_rows(&["recording", "replay", "model"]),
+    )
+    .unwrap();
     // The row streamsim-lint --bench-out emits for a full workspace scan.
     std::fs::write(
         &bench,

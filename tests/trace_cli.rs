@@ -70,6 +70,28 @@ fn replay_rejects_missing_file() {
     assert!(!out.status.success());
 }
 
+/// A 16-byte file whose header claims 2^40 records: the tool must
+/// report a clean error, not abort on a 16 TB reservation (exit 134).
+#[test]
+fn info_rejects_a_huge_header_count_without_aborting() {
+    let path = tmp("huge-count.sstr");
+    let mut bytes = b"SSTR".to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let out = trace_tool()
+        .args(["info", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error:") && err.contains("truncated trace"),
+        "{err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn help_runs() {
     let out = trace_tool().arg("--help").output().expect("binary runs");
