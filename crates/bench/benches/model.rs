@@ -6,12 +6,13 @@
 //! extra bandwidth) plane. The fast path scores all cells in closed
 //! form from each workload's memoized locality profile, keeps only the
 //! predicted Pareto frontier plus the validated tolerance band, and
-//! simulates just those survivors. Each sample prefills a fresh shared
-//! trace store untimed — exactly how the report driver amortizes
-//! recording across artifacts — then times both paths on the trace-hot
-//! store. The fast path is timed first, so the cold profile pass it
-//! depends on is inside its measurement. The contract is asserted
-//! before timing anything:
+//! simulates just those survivors. Each sample gives each path its own
+//! fresh trace store, prefilled untimed — exactly how the report driver
+//! amortizes recording across artifacts — then times the path on its
+//! trace-hot store. Separate stores keep the full path from being served
+//! the survivors' replay results the fast path memoized. The cold
+//! profile pass the fast path depends on is inside its measurement. The
+//! contract is asserted before timing anything:
 //!
 //! * the pruned sweep reproduces the full sweep's Pareto frontier
 //!   exactly, with byte-identical measurements on every frontier cell;
@@ -42,20 +43,18 @@ fn env_u32(key: &str, default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-/// One sample: a fresh store shared by both paths is prefilled with
-/// recorded miss traces untimed (the report driver amortizes recording
-/// across artifacts the same way), then each path runs on the
-/// trace-hot store. The fast path goes first so the cold profile pass
-/// it depends on lands inside its own measurement; the full path
-/// replays every cell of the grid.
+/// One sample: each path gets a fresh store prefilled with recorded
+/// miss traces untimed (the report driver amortizes recording across
+/// artifacts the same way), then runs on its trace-hot store. The cold
+/// profile pass the fast path depends on lands inside its own
+/// measurement; the full path replays every cell of the grid.
 fn sample() -> ((Sweep, u128), (Sweep, u128)) {
-    let base = ExperimentOptions::quick();
-    miss_traces(&base);
     let timed = |prescreen: bool| {
         let options = ExperimentOptions {
             prescreen,
-            ..base.clone()
+            ..ExperimentOptions::quick()
         };
+        miss_traces(&options);
         let start = Instant::now();
         let sweep = std::hint::black_box(sweep::run(&options));
         (sweep, start.elapsed().as_nanos())

@@ -9,7 +9,7 @@ use streamsim_trace::BlockSize;
 /// The paper's primary caches use *random* replacement ("the caches use a
 /// random replacement policy"); its secondary caches are conventional, for
 /// which we default to LRU. FIFO is provided for ablations.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Replacement {
     /// Least-recently-used.
     #[default]
@@ -43,7 +43,7 @@ impl fmt::Display for Replacement {
 ///
 /// The paper's data cache is write-back with write-allocate; write-through
 /// without allocation is provided for ablation studies.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WritePolicy {
     /// Write-back, write-allocate: stores allocate on miss and dirty the
     /// line; dirty victims produce write-backs.
@@ -127,7 +127,7 @@ impl std::error::Error for CacheConfigError {}
 /// assert_eq!(l2.num_sets(), (1 << 20) / (2 * 64));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheConfig {
     size_bytes: u64,
     assoc: u32,

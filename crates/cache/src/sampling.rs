@@ -28,7 +28,7 @@ use std::fmt;
 /// assert!(!s.selects(4));
 /// assert_eq!(s.fraction(), 0.125);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SetSampling {
     log2_fraction: u32,
     matcher: u64,

@@ -34,10 +34,7 @@ use streamsim_workloads::Workload;
 
 use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{
-    replay, replay_l2, replay_streams, run_streams, MissObserver, MissTrace, RecordOptions,
-    StreamObserver,
-};
+use crate::{replay, MissObserver, MissTrace, RecordOptions};
 
 /// The benchmarks used for ablations: one stream-friendly, one strided,
 /// one short-burst, one irregular.
@@ -134,7 +131,8 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
             .iter()
             .map(|&d| StreamConfig::new(10, d, Allocation::OnMiss).expect("valid"))
             .collect();
-        let rates = replay_streams(&trace, &configs)
+        let rates = options
+            .replay_streams(&trace, &configs)
             .iter()
             .map(|s| s.hit_rate())
             .collect();
@@ -148,7 +146,7 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
                 .expect("valid")
                 .with_match_policy(MatchPolicy::AnyEntry),
         ];
-        let stats = replay_streams(&trace, &configs);
+        let stats = options.replay_streams(&trace, &configs);
         (name, [stats[0].hit_rate(), stats[1].hit_rate()])
     });
 
@@ -159,7 +157,8 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
                 StreamConfig::new(10, 2, Allocation::UnitFilter { entries }).expect("valid")
             })
             .collect();
-        let cells = replay_streams(&trace, &configs)
+        let cells = options
+            .replay_streams(&trace, &configs)
             .iter()
             .map(|stats| (stats.hit_rate(), stats.extra_bandwidth()))
             .collect();
@@ -179,19 +178,20 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
             )
             .expect("valid"),
         ];
-        let stats = replay_streams(&trace, &configs);
+        let stats = options.replay_streams(&trace, &configs);
         (name, [stats[0].hit_rate(), stats[1].hit_rate()])
     });
 
-    // Topology: the unified system and the partitioned variant observe
-    // the same replay pass over the unified miss stream.
+    // Topology: the unified system comes from the store's memo, the
+    // partitioned variant replays the same unified miss stream.
     let topology = options.parallel_map(traces.clone(), |(name, trace)| {
-        let mut unified = StreamObserver::new(StreamConfig::paper_basic(10).expect("valid"));
+        let unified =
+            options.replay_streams(&trace, &[StreamConfig::paper_basic(10).expect("valid")])[0];
         let mut part = PartitionedObserver {
             isys: StreamSystem::new(StreamConfig::paper_basic(2).expect("valid")),
             dsys: StreamSystem::new(StreamConfig::paper_basic(8).expect("valid")),
         };
-        replay(&trace, &mut [&mut unified, &mut part]);
+        replay(&trace, &mut [&mut part]);
         let (i, d) = (part.isys.stats(), part.dsys.stats());
         let lookups = i.lookups + d.lookups;
         let part_rate = if lookups == 0 {
@@ -199,7 +199,7 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
         } else {
             (i.hits + d.hits) as f64 / lookups as f64
         };
-        (name, [unified.stats().hit_rate(), part_rate])
+        (name, [unified.hit_rate(), part_rate])
     });
 
     // L1 replacement policy: re-record each miss trace under random,
@@ -221,7 +221,8 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
                 sampling: base.sampling,
             };
             let trace = options.store.record(w.as_ref(), &record).expect("valid L1");
-            run_streams(&trace, StreamConfig::paper_basic(10).expect("valid")).hit_rate()
+            options.replay_streams(&trace, &[StreamConfig::paper_basic(10).expect("valid")])[0]
+                .hit_rate()
         });
         (w.name().to_owned(), rates)
     });
@@ -231,7 +232,7 @@ pub fn run(options: &ExperimentOptions) -> Ablations {
     let sampling = options.parallel_map(traces, |(name, trace)| {
         let cfg = CacheConfig::new(1 << 20, 2, trace.l1_block()).expect("valid L2");
         let cells = [(cfg, None), (cfg, Some(SetSampling::new(2, 1)))];
-        let stats = replay_l2(&trace, &cells).expect("valid");
+        let (_, stats) = options.replay(&trace, &[], &cells).expect("valid");
         (name, stats[0].hit_rate(), stats[1].hit_rate())
     });
 

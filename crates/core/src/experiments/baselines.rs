@@ -22,7 +22,6 @@ use std::fmt;
 use streamsim_streams::{Allocation, StreamConfig, StreamStats};
 
 use crate::experiments::{miss_traces, ExperimentOptions};
-use crate::replay_streams;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
 
 /// The five configurations compared, in lineage order.
@@ -72,7 +71,7 @@ fn configs() -> Vec<StreamConfig> {
 pub fn run(options: &ExperimentOptions) -> Baselines {
     let rows = options.parallel_map(miss_traces(options), |(name, trace)| Row {
         name,
-        stats: replay_streams(&trace, &configs()),
+        stats: options.replay_streams(&trace, &configs()),
     });
     Baselines { rows }
 }

@@ -22,6 +22,7 @@
 //! bare machine.
 
 use std::fmt;
+use std::sync::Arc;
 
 use streamsim_cache::{CacheConfig, TwoLevel};
 use streamsim_streams::{StreamConfig, StreamStats};
@@ -29,7 +30,7 @@ use streamsim_trace::BlockSize;
 
 use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{run_streams, MissTrace};
+use crate::MissTrace;
 
 /// The assumed memory-system timing, in processor cycles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,14 +116,15 @@ fn stream_hit_stall(stats: &StreamStats, inter_miss: f64, timing: Timing) -> f64
 
 fn measure(
     name: String,
-    trace: &MissTrace,
+    trace: &Arc<MissTrace>,
     workload: &dyn streamsim_workloads::Workload,
     options: &ExperimentOptions,
     timing: Timing,
 ) -> Row {
     let refs = trace.l1().refs();
     let misses = trace.l1().misses();
-    let streams = run_streams(trace, StreamConfig::paper_filtered(10).expect("valid"));
+    let streams =
+        options.replay_streams(trace, &[StreamConfig::paper_filtered(10).expect("valid")])[0];
 
     // Conventional 1 MB L2 over the same reference stream.
     let record = options.record_options();

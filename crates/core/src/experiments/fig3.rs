@@ -11,8 +11,8 @@ use std::fmt;
 use streamsim_streams::StreamConfig;
 
 use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay_streams};
 
 /// The stream counts swept, as in the figure's x-axis.
 pub const STREAM_COUNTS: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
@@ -59,7 +59,8 @@ pub fn run(options: &ExperimentOptions) -> Fig3 {
         .collect();
     let traces = miss_traces(options);
     let rows = options.parallel_map(traces, move |(name, trace)| {
-        let hit_rates = replay_streams(&trace, &configs)
+        let hit_rates = options
+            .replay_streams(&trace, &configs)
             .iter()
             .map(|s| s.hit_rate())
             .collect();

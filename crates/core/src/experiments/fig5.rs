@@ -12,8 +12,8 @@ use std::fmt;
 use streamsim_streams::{StreamConfig, StreamStats};
 
 use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay_streams};
 
 /// One benchmark's with/without-filter comparison.
 #[derive(Clone, Debug)]
@@ -47,17 +47,14 @@ pub fn run(options: &ExperimentOptions) -> Fig5 {
         StreamConfig::paper_basic(10).expect("valid"),
         StreamConfig::paper_filtered(10).expect("valid"),
     ];
-    let rows = miss_traces(options)
-        .into_iter()
-        .map(|(name, trace)| {
-            let mut stats = replay_streams(&trace, &configs).into_iter();
-            Row {
-                name,
-                unfiltered: stats.next().expect("two configs"),
-                filtered: stats.next().expect("two configs"),
-            }
-        })
-        .collect();
+    let rows = options.parallel_map(miss_traces(options), |(name, trace)| {
+        let mut stats = options.replay_streams(&trace, &configs).into_iter();
+        Row {
+            name,
+            unfiltered: stats.next().expect("two configs"),
+            filtered: stats.next().expect("two configs"),
+        }
+    });
     Fig5 { rows }
 }
 

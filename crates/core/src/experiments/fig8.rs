@@ -11,8 +11,8 @@ use std::fmt;
 use streamsim_streams::{StreamConfig, StreamStats};
 
 use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay_streams};
 
 /// Czone size (bits of the word address) used when a benchmark has no
 /// tuned value: large enough for plane-sized strides, small enough to
@@ -58,17 +58,14 @@ pub fn run_with_czone(options: &ExperimentOptions, czone_bits: u32) -> Fig8 {
         StreamConfig::paper_filtered(10).expect("valid"),
         StreamConfig::paper_strided(10, czone_bits).expect("valid"),
     ];
-    let rows = miss_traces(options)
-        .into_iter()
-        .map(|(name, trace)| {
-            let mut stats = replay_streams(&trace, &configs).into_iter();
-            Row {
-                name,
-                unit_only: stats.next().expect("two configs"),
-                strided: stats.next().expect("two configs"),
-            }
-        })
-        .collect();
+    let rows = options.parallel_map(miss_traces(options), |(name, trace)| {
+        let mut stats = options.replay_streams(&trace, &configs).into_iter();
+        Row {
+            name,
+            unit_only: stats.next().expect("two configs"),
+            strided: stats.next().expect("two configs"),
+        }
+    });
     Fig8 { rows, czone_bits }
 }
 

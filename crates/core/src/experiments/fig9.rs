@@ -12,7 +12,6 @@ use std::fmt;
 use streamsim_streams::StreamConfig;
 
 use crate::experiments::{miss_traces, ExperimentOptions};
-use crate::replay_streams;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
 
 /// The czone sizes swept (bits of the word address), as in the figure.
@@ -66,7 +65,8 @@ pub fn run(options: &ExperimentOptions) -> Fig9 {
         .filter(|(name, _)| FIG9_BENCHMARKS.contains(&name.as_str()))
         .collect();
     let rows = options.parallel_map(traces, move |(name, trace)| {
-        let hit_rates = replay_streams(&trace, &configs)
+        let hit_rates = options
+            .replay_streams(&trace, &configs)
             .iter()
             .map(|s| s.hit_rate())
             .collect();

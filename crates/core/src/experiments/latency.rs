@@ -23,7 +23,6 @@ use std::fmt;
 use streamsim_streams::{Allocation, StreamConfig, StreamStats};
 
 use crate::experiments::{miss_traces, ExperimentOptions};
-use crate::replay_streams;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
 
 /// Memory latencies swept, in units of the mean inter-miss interval.
@@ -69,17 +68,14 @@ pub fn run(options: &ExperimentOptions) -> Latency {
         StreamConfig::new(10, 2, Allocation::OnMiss).expect("valid"),
         StreamConfig::new(10, 8, Allocation::OnMiss).expect("valid"),
     ];
-    let rows = miss_traces(options)
-        .into_iter()
-        .map(|(name, trace)| {
-            let mut stats = replay_streams(&trace, &configs).into_iter();
-            Row {
-                name,
-                depth2: stats.next().expect("two configs"),
-                depth8: stats.next().expect("two configs"),
-            }
-        })
-        .collect();
+    let rows = options.parallel_map(miss_traces(options), |(name, trace)| {
+        let mut stats = options.replay_streams(&trace, &configs).into_iter();
+        Row {
+            name,
+            depth2: stats.next().expect("two configs"),
+            depth8: stats.next().expect("two configs"),
+        }
+    });
     Latency { rows }
 }
 

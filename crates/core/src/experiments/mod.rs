@@ -46,10 +46,12 @@ pub mod traffic;
 
 use std::sync::Arc;
 
+use streamsim_cache::{CacheConfigError, CacheStats};
+use streamsim_streams::{StreamConfig, StreamStats};
 use streamsim_workloads::{all_benchmarks, kernels, Workload};
 
 use crate::sink::Artifact;
-use crate::{ExecutorHandle, MissTrace, RecordOptions, TraceStore};
+use crate::{ExecutorHandle, L2Cell, MissTrace, RecordOptions, TraceStore};
 
 /// Every experiment driver's artifact name, in report order.
 ///
@@ -194,6 +196,34 @@ impl ExperimentOptions {
         F: Fn(T) -> R + Sync,
     {
         self.executor.parallel_map(items, f)
+    }
+
+    /// [`TraceStore::replay`] on the shared store: drivers holding
+    /// clones of one options value simulate each (trace, cell) pair once
+    /// between them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheConfigError`] if any L2 cell is invalid.
+    pub fn replay(
+        &self,
+        trace: &Arc<MissTrace>,
+        streams: &[StreamConfig],
+        l2: &[L2Cell],
+    ) -> Result<(Vec<StreamStats>, Vec<CacheStats>), CacheConfigError> {
+        self.store.replay(trace, streams, l2)
+    }
+
+    /// [`ExperimentOptions::replay`] with stream cells only, which
+    /// cannot be rejected.
+    pub fn replay_streams(
+        &self,
+        trace: &Arc<MissTrace>,
+        configs: &[StreamConfig],
+    ) -> Vec<StreamStats> {
+        self.replay(trace, configs, &[])
+            .expect("stream cells are always valid")
+            .0
     }
 
     /// The [`RecordOptions`] (L1 geometry + sampling) these experiment

@@ -20,7 +20,6 @@ use streamsim_workloads::combinators::Interleaved;
 use streamsim_workloads::Workload;
 
 use crate::experiments::{workload_set, ExperimentOptions, Scale};
-use crate::run_streams;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
 
 /// Reference quanta swept (references per time slice).
@@ -65,7 +64,7 @@ fn find(scale: Scale, name: &str) -> Box<dyn Workload> {
 /// Runs the experiment.
 pub fn run(options: &ExperimentOptions) -> Multiprogramming {
     let record = options.record_options();
-    let store = options.store.clone();
+    let store = &options.store;
     let scale = options.scale;
     let config = StreamConfig::paper_filtered(10).expect("valid");
     let rows = options.parallel_map(PAIRS.to_vec(), move |(a, b)| {
@@ -76,8 +75,8 @@ pub fn run(options: &ExperimentOptions) -> Multiprogramming {
         // shared store, so other drivers' recordings are reused.
         let ta = store.record(wa.as_ref(), &record).expect("valid L1");
         let tb = store.record(wb.as_ref(), &record).expect("valid L1");
-        let sa = run_streams(&ta, config);
-        let sb = run_streams(&tb, config);
+        let sa = options.replay_streams(&ta, &[config])[0];
+        let sb = options.replay_streams(&tb, &[config])[0];
         let solo_hit = (sa.hits + sb.hits) as f64 / (sa.lookups + sb.lookups).max(1) as f64;
 
         let interleaved_hit = QUANTA
@@ -86,7 +85,7 @@ pub fn run(options: &ExperimentOptions) -> Multiprogramming {
                 let mix =
                     Interleaved::new(format!("{a}+{b}"), vec![find(scale, a), find(scale, b)], q);
                 let trace = store.record(&mix, &record).expect("valid L1");
-                run_streams(&trace, config).hit_rate()
+                options.replay_streams(&trace, &[config])[0].hit_rate()
             })
             .collect();
 

@@ -20,7 +20,6 @@ use streamsim_streams::StreamConfig;
 
 use crate::experiments::{fig9, miss_traces, table4, ExperimentOptions};
 use crate::paper;
-use crate::replay_streams;
 use crate::sink::{col, Artifact, ArtifactSink, Cell as SinkCell};
 
 /// Tolerance for hit-rate comparisons, in percentage points.
@@ -134,7 +133,7 @@ pub fn run(options: &ExperimentOptions) -> Scorecard {
         let Some(p) = paper::benchmark(&name) else {
             continue;
         };
-        let mut stats = replay_streams(&trace, &configs).into_iter();
+        let mut stats = options.replay_streams(&trace, &configs).into_iter();
         let basic = stats.next().expect("three configs");
         let filtered = stats.next().expect("three configs");
         let strided = stats.next().expect("three configs");

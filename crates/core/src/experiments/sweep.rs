@@ -28,7 +28,7 @@ use streamsim_streams::{Allocation, StreamConfig};
 use crate::experiments::{miss_traces, workload_set, ExperimentOptions};
 use crate::locality::stream_geometry;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{replay_streams, MissTrace};
+use crate::MissTrace;
 
 /// Stream counts swept (the paper's 1–10 plus wider points).
 pub const STREAM_COUNTS: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16];
@@ -160,7 +160,8 @@ fn simulate(
     let configs: Vec<StreamConfig> = grid.iter().map(|c| c.config).collect();
     let depths: Vec<usize> = grid.iter().map(|c| c.depth).collect();
     let per_workload = options.parallel_map(traces, move |(_, trace)| {
-        replay_streams(&trace, &configs)
+        options
+            .replay_streams(&trace, &configs)
             .iter()
             .zip(&depths)
             .map(|(s, &depth)| (s.hit_rate(), s.extra_bandwidth_paper_formula(depth)))

@@ -11,8 +11,8 @@ use std::fmt;
 use streamsim_streams::{StreamConfig, StreamStats};
 
 use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay_streams};
 
 /// One benchmark's bandwidth accounting.
 #[derive(Clone, Debug)]
@@ -49,9 +49,7 @@ pub fn run(options: &ExperimentOptions) -> Table2 {
     let config = StreamConfig::paper_basic(10).expect("ten streams is valid");
     let rows = options.parallel_map(miss_traces(options), move |(name, trace)| Row {
         name,
-        stats: replay_streams(&trace, &[config])
-            .pop()
-            .expect("one config in, one stats out"),
+        stats: options.replay_streams(&trace, &[config])[0],
     });
     Table2 { rows }
 }

@@ -12,8 +12,8 @@ use std::fmt;
 use streamsim_streams::{LengthBucket, LengthHistogram, StreamConfig};
 
 use crate::experiments::{miss_traces, ExperimentOptions};
+use crate::paper;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, run_streams};
 
 /// One benchmark's length distribution.
 #[derive(Clone, Debug)]
@@ -40,13 +40,11 @@ impl Table3 {
 
 /// Runs the experiment.
 pub fn run(options: &ExperimentOptions) -> Table3 {
-    let rows = miss_traces(options)
-        .into_iter()
-        .map(|(name, trace)| Row {
-            name,
-            lengths: run_streams(&trace, StreamConfig::paper_basic(10).expect("valid")).lengths,
-        })
-        .collect();
+    let config = StreamConfig::paper_basic(10).expect("valid");
+    let rows = options.parallel_map(miss_traces(options), |(name, trace)| Row {
+        name,
+        lengths: options.replay_streams(&trace, &[config])[0].lengths,
+    });
     Table3 { rows }
 }
 

@@ -21,9 +21,9 @@ use streamsim_cache::CacheConfig;
 use streamsim_streams::StreamConfig;
 
 use crate::experiments::{table4_pairs, ExperimentOptions};
+use crate::paper;
 use crate::report::size;
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{paper, replay, L2GridObserver, StreamObserver};
 
 /// The L2 capacities swept, smallest to largest.
 pub const L2_SIZES: [u64; 7] = [
@@ -86,23 +86,23 @@ fn measure(
         .expect("paper L1 configuration is valid");
     let block = trace.l1_block();
 
-    // The stream system and the full capacity × associativity L2 grid
-    // observe the trace in one pass; the minimum-capacity scan then runs
-    // over the collected hit rates. The grid simulates all 21 caches
-    // with one LRU stack per set count.
-    let mut streams = StreamObserver::new(
-        StreamConfig::paper_strided(10, CZONE_BITS).expect("paper stream configuration is valid"),
-    );
-    let (caps, configs): (Vec<u64>, Vec<CacheConfig>) = L2_SIZES
+    // The stream cell and the full capacity × associativity L2 grid
+    // replay in one request; the minimum-capacity scan then runs over
+    // the collected hit rates.
+    let stream =
+        StreamConfig::paper_strided(10, CZONE_BITS).expect("paper stream configuration is valid");
+    let (caps, cells): (Vec<u64>, Vec<_>) = L2_SIZES
         .iter()
         .flat_map(|&cap| [1u32, 2, 4].map(|assoc| (cap, assoc)))
-        .filter_map(|(cap, assoc)| Some((cap, CacheConfig::secondary(cap, assoc, block).ok()?)))
+        .filter_map(|(cap, assoc)| {
+            Some((cap, (CacheConfig::secondary(cap, assoc, block).ok()?, None)))
+        })
         .unzip();
-    let mut grid = L2GridObserver::new(&configs).expect("secondary caches are LRU write-back");
-    replay(&trace, &mut [&mut streams, &mut grid]);
-    let l2_stats = grid.stats();
+    let (streams, l2_stats) = options
+        .replay(&trace, &[stream], &cells)
+        .expect("secondary caches are valid");
 
-    let stream_hit = streams.stats().hit_rate();
+    let stream_hit = streams[0].hit_rate();
     let mut min_l2_bytes = None;
     let mut l2_hit = 0.0;
     for &cap in &L2_SIZES {

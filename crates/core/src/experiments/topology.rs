@@ -20,6 +20,7 @@
 //! stated in the output).
 
 use std::fmt;
+use std::sync::Arc;
 
 use streamsim_cache::{CacheConfig, SetAssocCache};
 use streamsim_streams::{StreamConfig, StreamSystem};
@@ -30,7 +31,7 @@ use streamsim_trace::Addr;
 use crate::experiments::cpi::Timing;
 use crate::experiments::{miss_traces, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{replay, L2Observer, MissObserver, MissTrace};
+use crate::{replay, MissObserver, MissTrace};
 
 /// One benchmark's topology comparison (memory CPI per system).
 #[derive(Clone, Debug)]
@@ -89,25 +90,32 @@ impl MissObserver for JouppiChain {
     }
 }
 
-fn measure(name: String, trace: &MissTrace, timing: Timing) -> Row {
+fn measure(
+    name: String,
+    trace: &Arc<MissTrace>,
+    options: &ExperimentOptions,
+    timing: Timing,
+) -> Row {
     let config = StreamConfig::paper_filtered(10).expect("valid");
     let l2_cfg = CacheConfig::new(1 << 20, 2, BlockSize::default()).expect("valid");
 
-    // One replay drives the Jouppi chain (streams + residual L2) and the
-    // conventional L2 (seeing every miss) side by side.
+    // The Jouppi chain (streams + residual L2) replays on its own; the
+    // conventional L2 (seeing every miss) is an ordinary memoized cell.
     let mut jouppi = JouppiChain {
         streams: StreamSystem::new(config),
         residual_l2: SetAssocCache::new(l2_cfg).expect("valid"),
     };
-    let mut full_l2 = L2Observer::new(l2_cfg, None).expect("valid");
-    replay(trace, &mut [&mut jouppi, &mut full_l2]);
+    replay(trace, &mut [&mut jouppi]);
+    let (_, full_l2) = options
+        .replay(trace, &[], &[(l2_cfg, None)])
+        .expect("valid");
     let stats = jouppi.streams.stats();
 
     let refs = trace.l1().refs() as f64;
     let misses = trace.l1().misses() as f64;
     let hit = stats.hit_rate();
     let residual_hit = jouppi.residual_l2.stats().hit_rate();
-    let l2_hit = full_l2.stats().hit_rate();
+    let l2_hit = full_l2[0].hit_rate();
 
     let lm = timing.memory_latency as f64;
     let ll2 = timing.l2_latency as f64;
@@ -137,7 +145,7 @@ fn measure(name: String, trace: &MissTrace, timing: Timing) -> Row {
 pub fn run(options: &ExperimentOptions) -> Topology {
     let timing = Timing::default();
     let rows = options.parallel_map(miss_traces(options), move |(name, trace)| {
-        measure(name, &trace, timing)
+        measure(name, &trace, options, timing)
     });
     Topology { rows, timing }
 }

@@ -26,7 +26,7 @@ use streamsim_trace::BlockSize;
 
 use crate::experiments::{workload_set, ExperimentOptions};
 use crate::sink::{col, Artifact, ArtifactSink, Cell};
-use crate::{run_streams, MissTrace};
+use crate::MissTrace;
 
 /// The conventional system's L2 capacity.
 pub const L2_BYTES: u64 = 1 << 20;
@@ -86,10 +86,10 @@ fn baseline_bytes(trace: &MissTrace) -> u64 {
 /// rather than replaying the trace.
 pub fn run(options: &ExperimentOptions) -> Traffic {
     let record = options.record_options();
-    let store = options.store.clone();
     let rows = options.parallel_map(workload_set(options.scale), move |w| {
-        let trace = store.record(w.as_ref(), &record).expect("valid L1");
-        let streams = run_streams(&trace, StreamConfig::paper_filtered(10).expect("valid"));
+        let trace = options.store.record(w.as_ref(), &record).expect("valid L1");
+        let streams =
+            options.replay_streams(&trace, &[StreamConfig::paper_filtered(10).expect("valid")])[0];
         let baseline = baseline_bytes(&trace);
         let streams_bytes = baseline + streams.useless_prefetches() * trace.l1_block().bytes();
 

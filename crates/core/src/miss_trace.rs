@@ -176,13 +176,10 @@ pub fn record_miss_trace(
 /// Replays a miss trace against a stream-buffer configuration and returns
 /// the finalized statistics.
 ///
-/// A one-observer convenience over [`crate::replay`]; use
-/// [`crate::replay_streams`] to sweep several configurations in a single
-/// pass over the trace.
+/// The one-cell case of [`crate::replay_streams`], which sweeps several
+/// configurations in a single pass over the trace.
 pub fn run_streams(trace: &MissTrace, config: StreamConfig) -> StreamStats {
-    let mut observer = crate::replay::StreamObserver::new(config);
-    crate::replay(trace, &mut [&mut observer]);
-    observer.stats()
+    crate::replay_streams(trace, &[config]).remove(0)
 }
 
 /// Replays a miss trace against a secondary cache (optionally

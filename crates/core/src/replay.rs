@@ -14,23 +14,25 @@
 //! chunk before the next observer runs, so one observer's tables stay
 //! hot in cache across a run of events instead of every observer being
 //! dragged through cache per event. Within a chunk the dispatch is a
-//! single devirtualized [`MissObserver::on_events`] call; the two
-//! dominant observer kinds override it with monomorphized loops that
-//! hoist per-event work (geometry decode, counter charges) out of the
-//! loop body.
+//! single devirtualized [`MissObserver::on_events`] call; the
+//! observers [`replay_cells`] builds override it with monomorphized
+//! loops that hoist per-event work (geometry decode, counter charges)
+//! out of the loop body.
 //!
-//! Two observers cover the common cases: [`StreamObserver`] wraps a
-//! [`StreamSystem`], [`L2Observer`] wraps a [`SetAssocCache`]. A third,
+//! Two observers cover single cells: [`StreamObserver`] wraps a
+//! [`StreamSystem`] (tests use it as the unfused reference),
+//! [`L2Observer`] wraps a [`SetAssocCache`]. A third,
 //! [`FusedStreamObserver`], evaluates a whole *family* of stream
 //! configurations sharing one block/word geometry — the shape of every
 //! paper sweep (ten stream counts, four filter sizes...) — splitting
 //! each address into block and word exactly once per event instead of
 //! once per configuration. A fourth, [`L2GridObserver`], does the same
 //! for secondary caches: every LRU write-back cell of a sweep in one
-//! [`LruStackGrid`], one MRU stack per set count. Drivers with bespoke
-//! plumbing (e.g. the Jouppi topology, where a secondary cache sees only
-//! the stream-miss residual) implement [`MissObserver`] themselves and
-//! join the same pass.
+//! [`LruStackGrid`], one MRU stack per set count. [`replay_cells`] is
+//! the one entry point that builds these observers for a request of
+//! stream and L2 cells. Drivers with bespoke plumbing (e.g. the Jouppi
+//! topology, where a secondary cache sees only the stream-miss residual)
+//! implement [`MissObserver`] themselves and call [`replay`].
 
 // lint:hot-module — the replay loop touches every recorded miss event per observer
 
@@ -187,23 +189,6 @@ impl MissObserver for StreamObserver {
 
     fn on_writeback(&mut self, base: Addr) {
         self.sys.on_writeback(base.block(self.sys.config().block()));
-    }
-
-    fn on_events(&mut self, events: &[MissEvent]) {
-        // Monomorphized fast path: the geometry reads are hoisted out of
-        // the loop and the system's decoded entry point skips re-deriving
-        // block and word per call.
-        let block = self.sys.config().block();
-        let word = self.sys.config().word();
-        for event in events {
-            match *event {
-                MissEvent::Fetch { addr, .. } => {
-                    self.sys
-                        .on_l1_miss_decoded(addr, addr.block(block), addr.word(word));
-                }
-                MissEvent::Writeback { base } => self.sys.on_writeback(base.block(block)),
-            }
-        }
     }
 
     fn finish(&mut self) {
@@ -382,7 +367,18 @@ impl FusedStreamObserver {
         {
             return Err(MixedGeometry);
         }
-        Ok(FusedStreamObserver {
+        Ok(Self::family(configs, block, word, counters))
+    }
+
+    /// The fused family of `configs`, every one of which has `block`
+    /// and `word` geometry (checked by the callers).
+    fn family(
+        configs: &[StreamConfig],
+        block: BlockSize,
+        word: WordSize,
+        counters: streamsim_obs::Counters,
+    ) -> Self {
+        FusedStreamObserver {
             systems: configs
                 .iter()
                 .map(|&c| StreamSystem::with_counters(c, counters.clone()))
@@ -390,7 +386,7 @@ impl FusedStreamObserver {
             block,
             word,
             decoded: Vec::new(),
-        })
+        }
     }
 
     /// Number of systems in the family.
@@ -464,33 +460,13 @@ impl MissObserver for FusedStreamObserver {
     }
 }
 
-/// Replays `trace` against every stream configuration in one pass.
-///
-/// Equivalent to N calls of [`crate::run_streams`], but the event vector
-/// is walked once — and when the family shares one block/word geometry
-/// (every paper sweep does), the configurations are fused so each
-/// address is decoded once per event rather than once per cell.
+/// Replays `trace` against every stream configuration in one pass: the
+/// stream-only case of [`replay_cells`].
 pub fn replay_streams(trace: &MissTrace, configs: &[StreamConfig]) -> Vec<StreamStats> {
-    match FusedStreamObserver::new(configs) {
-        Ok(mut fused) => {
-            replay(trace, &mut [&mut fused]);
-            fused.stats()
-        }
-        Err(MixedGeometry) => {
-            // Mixed geometries cannot share a decode; fall back to
-            // independent observers in the same single pass.
-            let mut observers: Vec<StreamObserver> =
-                configs.iter().map(|&c| StreamObserver::new(c)).collect();
-            {
-                let mut refs: Vec<&mut dyn MissObserver> = observers
-                    .iter_mut()
-                    .map(|o| o as &mut dyn MissObserver)
-                    .collect();
-                replay(trace, &mut refs);
-            }
-            observers.iter().map(StreamObserver::stats).collect()
-        }
-    }
+    replay_cells(trace, configs, &[])
+        // lint:allow(no-unwrap-hot, only L2 cells can be rejected and this request has none)
+        .expect("stream cells are always valid")
+        .0
 }
 
 /// Every LRU write-back secondary cache of a sweep as one observer: an
@@ -577,32 +553,76 @@ impl MissObserver for L2GridObserver {
     }
 }
 
-/// Replays `trace` against every secondary-cache cell in one pass — the
-/// one L2 replay entry point ([`crate::run_l2`] is its one-cell case).
-///
-/// Unsampled LRU write-back/write-allocate cells sharing the first such
-/// cell's block size join one [`L2GridObserver`]; every other cell
-/// (FIFO, random or tree-PLRU replacement, write-through, set-sampled,
-/// or another block size) gets its own [`L2Observer`] in the same pass.
-/// Results come back in input order either way.
+/// A secondary-cache replay cell: a geometry plus optional set sampling.
+pub type L2Cell = (CacheConfig, Option<SetSampling>);
+
+/// Replays `trace` against every secondary-cache cell in one pass: the
+/// L2-only case of [`replay_cells`] ([`crate::run_l2`] is its one-cell
+/// case).
 ///
 /// # Errors
 ///
 /// Returns [`CacheConfigError`] if any cell's configuration or sampling
 /// is invalid.
-pub fn replay_l2(
+pub fn replay_l2(trace: &MissTrace, cells: &[L2Cell]) -> Result<Vec<CacheStats>, CacheConfigError> {
+    Ok(replay_cells(trace, &[], cells)?.1)
+}
+
+/// Replays `trace` once against every requested stream and
+/// secondary-cache cell, returning each side's statistics in input
+/// order. This is the one replay entry point: [`replay_streams`],
+/// [`replay_l2`] and the memoizing [`TraceStore::replay`] all end here,
+/// and only observers with bespoke plumbing call [`replay`] directly.
+///
+/// * Stream cells split into one [`FusedStreamObserver`] per distinct
+///   block/word geometry, so each address is decoded once per event
+///   per geometry (every paper sweep has one).
+/// * Unsampled LRU write-back/write-allocate L2 cells sharing the first
+///   such cell's block size join one [`L2GridObserver`]; every other L2
+///   cell (FIFO, random or tree-PLRU replacement, write-through,
+///   set-sampled, or another block size) gets its own [`L2Observer`].
+///
+/// All of them observe a single pass over the events; a request with no
+/// cells makes no pass. The function memoizes nothing, so benches and
+/// property suites calling it time and check real simulation.
+///
+/// [`TraceStore::replay`]: crate::TraceStore::replay
+///
+/// # Errors
+///
+/// Returns [`CacheConfigError`] if any L2 cell's configuration or
+/// sampling is invalid.
+pub fn replay_cells(
     trace: &MissTrace,
-    cells: &[(CacheConfig, Option<SetSampling>)],
-) -> Result<Vec<CacheStats>, CacheConfigError> {
-    let joins = |&(config, sampling): &(CacheConfig, Option<SetSampling>)| {
-        sampling.is_none() && LruStackGrid::admits(&config)
-    };
-    let grid_block = cells.iter().find(|c| joins(c)).map(|(c, _)| c.block());
-    let in_grid: Vec<bool> = cells
+    streams: &[StreamConfig],
+    l2: &[L2Cell],
+) -> Result<(Vec<StreamStats>, Vec<CacheStats>), CacheConfigError> {
+    if streams.is_empty() && l2.is_empty() {
+        return Ok((Vec::new(), Vec::new()));
+    }
+    let geometry = |c: &StreamConfig| (c.block(), c.word());
+    let mut geometries: Vec<(BlockSize, WordSize)> = streams.iter().map(geometry).collect();
+    geometries.sort_unstable();
+    geometries.dedup();
+    let mut families: Vec<FusedStreamObserver> = geometries
+        .iter()
+        .map(|&(block, word)| {
+            let members: Vec<StreamConfig> = streams
+                .iter()
+                .filter(|c| geometry(c) == (block, word))
+                .copied()
+                .collect();
+            FusedStreamObserver::family(&members, block, word, streamsim_obs::Counters::global())
+        })
+        .collect();
+
+    let joins = |&(config, sampling): &L2Cell| sampling.is_none() && LruStackGrid::admits(&config);
+    let grid_block = l2.iter().find(|c| joins(c)).map(|(c, _)| c.block());
+    let in_grid: Vec<bool> = l2
         .iter()
         .map(|c| joins(c) && Some(c.0.block()) == grid_block)
         .collect();
-    let grid_configs: Vec<CacheConfig> = cells
+    let grid_configs: Vec<CacheConfig> = l2
         .iter()
         .zip(&in_grid)
         .filter(|(_, &g)| g)
@@ -611,23 +631,35 @@ pub fn replay_l2(
     let mut grid = L2GridObserver::new(&grid_configs)
         // lint:allow(no-unwrap-hot, in_grid admits only unsampled LRU write-back cells of grid_block, exactly what the grid accepts)
         .expect("grid cells are LRU write-back with one block size");
-    let mut fallback = cells
+    let mut fallback = l2
         .iter()
         .zip(&in_grid)
         .filter(|(_, &g)| !g)
         .map(|(&(config, sampling), _)| L2Observer::new(config, sampling))
         .collect::<Result<Vec<_>, _>>()?;
+
     {
-        let mut refs: Vec<&mut dyn MissObserver> = Vec::with_capacity(fallback.len() + 1);
+        let mut refs: Vec<&mut dyn MissObserver> =
+            Vec::with_capacity(families.len() + fallback.len() + 1);
+        refs.extend(families.iter_mut().map(|o| o as &mut dyn MissObserver));
         if !grid_configs.is_empty() {
             refs.push(&mut grid);
         }
         refs.extend(fallback.iter_mut().map(|o| o as &mut dyn MissObserver));
         replay(trace, &mut refs);
     }
+
+    let mut family_stats: Vec<_> = families.iter().map(|f| f.stats().into_iter()).collect();
+    let stream_stats = streams
+        .iter()
+        .filter_map(|c| {
+            let family = geometries.binary_search(&geometry(c)).ok()?;
+            family_stats[family].next()
+        })
+        .collect();
     let mut grid_stats = grid.stats().into_iter();
     let mut fallback_stats = fallback.iter().map(L2Observer::stats);
-    Ok(in_grid
+    let l2_stats = in_grid
         .iter()
         .filter_map(|&g| {
             if g {
@@ -636,7 +668,8 @@ pub fn replay_l2(
                 fallback_stats.next()
             }
         })
-        .collect())
+        .collect();
+    Ok((stream_stats, l2_stats))
 }
 
 #[cfg(test)]
@@ -644,7 +677,7 @@ mod tests {
     use super::*;
     use crate::{record_miss_trace, run_l2, run_streams, RecordOptions};
     use streamsim_trace::BlockSize;
-    use streamsim_workloads::generators::{RandomGather, SequentialSweep};
+    use streamsim_workloads::generators::SequentialSweep;
 
     fn trace() -> MissTrace {
         let w = SequentialSweep {
@@ -654,40 +687,6 @@ mod tests {
             elem: 8,
         };
         record_miss_trace(&w, &RecordOptions::default()).unwrap()
-    }
-
-    #[test]
-    fn multi_stream_replay_matches_independent_passes() {
-        let trace = trace();
-        let configs = [
-            StreamConfig::paper_basic(1).unwrap(),
-            StreamConfig::paper_basic(4).unwrap(),
-            StreamConfig::paper_filtered(10).unwrap(),
-            StreamConfig::paper_strided(6, 16).unwrap(),
-        ];
-        let together = replay_streams(&trace, &configs);
-        for (config, joint) in configs.iter().zip(&together) {
-            assert_eq!(*joint, run_streams(&trace, *config));
-        }
-    }
-
-    #[test]
-    fn mixed_geometry_families_fall_back_to_independent_passes() {
-        let trace = trace();
-        let configs = [
-            StreamConfig::paper_basic(4).unwrap(),
-            StreamConfig::paper_basic(4)
-                .unwrap()
-                .with_block(BlockSize::new(64).unwrap()),
-        ];
-        assert!(matches!(
-            FusedStreamObserver::new(&configs),
-            Err(MixedGeometry)
-        ));
-        let together = replay_streams(&trace, &configs);
-        for (config, joint) in configs.iter().zip(&together) {
-            assert_eq!(*joint, run_streams(&trace, *config));
-        }
     }
 
     #[test]
@@ -723,24 +722,6 @@ mod tests {
         }
         manual.finish();
         assert_eq!(manual.stats(), replay_streams(&trace, &configs));
-    }
-
-    #[test]
-    fn multi_l2_replay_matches_independent_passes() {
-        let trace = record_miss_trace(&RandomGather::default(), &RecordOptions::default()).unwrap();
-        let block = BlockSize::new(64).unwrap();
-        let cells = [
-            (CacheConfig::new(64 << 10, 1, block).unwrap(), None),
-            (CacheConfig::new(1 << 20, 2, block).unwrap(), None),
-            (
-                CacheConfig::new(4 << 20, 4, block).unwrap(),
-                Some(SetSampling::new(4, 1)),
-            ),
-        ];
-        let together = replay_l2(&trace, &cells).unwrap();
-        for (&(config, sampling), joint) in cells.iter().zip(&together) {
-            assert_eq!(*joint, run_l2(&trace, config, sampling).unwrap());
-        }
     }
 
     #[test]

@@ -11,19 +11,25 @@
 //! time sampling), so a full sweep simulates each L1 exactly once no
 //! matter how many drivers ask for it.
 //!
+//! [`TraceStore::replay`] memoizes the replay half per stored trace, so
+//! a report simulates each (trace, cell) pair once. The memo lives and
+//! dies with the store's entry; there is no process-global cache.
+//!
 //! The store is a cheap clone-able handle (`Arc` inside); experiment
 //! workers on different threads share one underlying map. Recording
-//! happens outside the lock, so a miss never serialises the other
-//! workers behind a multi-second L1 simulation.
+//! and replay happen outside the locks, so a miss never serialises the
+//! other workers behind a multi-second simulation.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use streamsim_cache::CacheConfigError;
+use streamsim_cache::{CacheConfigError, CacheStats};
+use streamsim_streams::{StreamConfig, StreamStats};
 use streamsim_workloads::Workload;
 
-use crate::{record_miss_trace, MissTrace, RecordOptions};
+use crate::{record_miss_trace, replay_cells, L2Cell, MissTrace, RecordOptions};
 
 /// A memoizing cache of [`MissTrace`]s shared across experiment drivers.
 ///
@@ -50,12 +56,28 @@ pub struct TraceStore {
 
 #[derive(Debug, Default)]
 struct Inner {
-    traces: Mutex<BTreeMap<String, Arc<MissTrace>>>,
+    traces: Mutex<BTreeMap<String, Stored>>,
     /// Locality profiles, keyed like `traces`: one extra recording-time
     /// pass per (workload, L1) cell serves every model query after it.
     profiles: Mutex<BTreeMap<String, Arc<streamsim_model::LocalityProfile>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    cells_simulated: AtomicU64,
+    cells_served: AtomicU64,
+}
+
+/// One stored trace and the replay results computed against it.
+#[derive(Debug)]
+struct Stored {
+    trace: Arc<MissTrace>,
+    results: Arc<Mutex<ReplayMemo>>,
+}
+
+/// Replay results of one trace, keyed by the cell's full configuration.
+#[derive(Debug, Default)]
+struct ReplayMemo {
+    streams: BTreeMap<StreamConfig, StreamStats>,
+    l2: BTreeMap<L2Cell, CacheStats>,
 }
 
 impl TraceStore {
@@ -86,16 +108,79 @@ impl TraceStore {
         options: &RecordOptions,
     ) -> Result<Arc<MissTrace>, CacheConfigError> {
         let key = Self::key(workload, options);
-        if let Some(trace) = self.inner.traces.lock().expect("store lock").get(&key) {
+        if let Some(stored) = self.inner.traces.lock().expect("store lock").get(&key) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
             streamsim_obs::count(streamsim_obs::Counter::TraceStoreHits, 1);
-            return Ok(Arc::clone(trace));
+            return Ok(Arc::clone(&stored.trace));
         }
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
         streamsim_obs::count(streamsim_obs::Counter::TraceStoreMisses, 1);
         let trace = Arc::new(record_miss_trace(workload, options)?);
         let mut map = self.inner.traces.lock().expect("store lock");
-        Ok(Arc::clone(map.entry(key).or_insert(trace)))
+        let stored = map.entry(key).or_insert_with(|| Stored {
+            trace,
+            results: Arc::default(),
+        });
+        Ok(Arc::clone(&stored.trace))
+    }
+
+    /// [`replay_cells`] through the memo of the store's own entry for
+    /// `trace` (found by [`Arc::ptr_eq`]; the entry keeps the allocation
+    /// alive): each (trace, cell) pair is simulated at most once per
+    /// store. A trace the store did not hand out is not memoized.
+    ///
+    /// Cold cells are deduplicated and simulated in one pass outside the
+    /// lock; threads racing on one cold cell both simulate and one insert
+    /// wins, harmlessly, because replay is deterministic. Each requested
+    /// cell is charged once at insertion, to `ReplayCellsSimulated` if
+    /// this call's insert won and to `ReplayCellsServed` otherwise, so
+    /// the totals do not depend on thread interleaving.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CacheConfigError`] if any L2 cell's configuration or
+    /// sampling is invalid.
+    pub fn replay(
+        &self,
+        trace: &Arc<MissTrace>,
+        streams: &[StreamConfig],
+        l2: &[L2Cell],
+    ) -> Result<(Vec<StreamStats>, Vec<CacheStats>), CacheConfigError> {
+        let Some(results) = self.memo_of(trace) else {
+            return replay_cells(trace, streams, l2);
+        };
+        let (cold_streams, cold_l2) = {
+            let memo = results.lock().expect("replay memo lock");
+            (cold_cells(streams, &memo.streams), cold_cells(l2, &memo.l2))
+        };
+        // No cold cell, no pass: `replay_cells` returns at once.
+        let (stream_stats, l2_stats) = replay_cells(trace, &cold_streams, &cold_l2)?;
+        let mut memo = results.lock().expect("replay memo lock");
+        let simulated = insert_cells(&mut memo.streams, cold_streams, stream_stats)
+            + insert_cells(&mut memo.l2, cold_l2, l2_stats);
+        let served = (streams.len() + l2.len()) as u64 - simulated;
+        self.inner
+            .cells_simulated
+            .fetch_add(simulated, Ordering::Relaxed);
+        self.inner.cells_served.fetch_add(served, Ordering::Relaxed);
+        streamsim_obs::count(streamsim_obs::Counter::ReplayCellsSimulated, simulated);
+        streamsim_obs::count(streamsim_obs::Counter::ReplayCellsServed, served);
+        Ok((
+            streams.iter().map(|c| memo.streams[c]).collect(),
+            l2.iter().map(|c| memo.l2[c]).collect(),
+        ))
+    }
+
+    /// The replay memo of the store's own entry for `trace`, if the
+    /// store handed that allocation out.
+    fn memo_of(&self, trace: &Arc<MissTrace>) -> Option<Arc<Mutex<ReplayMemo>>> {
+        self.inner
+            .traces
+            .lock()
+            .expect("store lock")
+            .values()
+            .find(|stored| Arc::ptr_eq(&stored.trace, trace))
+            .map(|stored| Arc::clone(&stored.results))
     }
 
     /// Records every missing `(workload, options)` cell in parallel and
@@ -226,11 +311,48 @@ impl TraceStore {
         self.inner.misses.load(Ordering::Relaxed)
     }
 
-    /// Drops every stored trace and profile (counters are kept).
+    /// How many (trace, cell) results [`TraceStore::replay`] simulated
+    /// and inserted into a memo: the number of distinct pairs replayed.
+    pub fn cells_simulated(&self) -> u64 {
+        self.inner.cells_simulated.load(Ordering::Relaxed)
+    }
+
+    /// How many cells [`TraceStore::replay`] requests were answered with
+    /// a result some insert had already put in the memo.
+    pub fn cells_served(&self) -> u64 {
+        self.inner.cells_served.load(Ordering::Relaxed)
+    }
+
+    /// Drops every stored trace, its replay memo and every profile
+    /// (counters are kept).
     pub fn clear(&self) {
         self.inner.traces.lock().expect("store lock").clear();
         self.inner.profiles.lock().expect("store lock").clear();
     }
+}
+
+/// The cells of `requested` missing from `memo`, each once, in
+/// first-seen order.
+fn cold_cells<K: Copy + Ord, V>(requested: &[K], memo: &BTreeMap<K, V>) -> Vec<K> {
+    let mut seen = BTreeSet::new();
+    requested
+        .iter()
+        .filter(|&c| !memo.contains_key(c) && seen.insert(*c))
+        .copied()
+        .collect()
+}
+
+/// Inserts freshly simulated results, returning how many of them this
+/// call put in the memo (a racing thread may have inserted the rest).
+fn insert_cells<K: Ord, V>(memo: &mut BTreeMap<K, V>, cells: Vec<K>, stats: Vec<V>) -> u64 {
+    let mut inserted = 0;
+    for (cell, stats) in cells.into_iter().zip(stats) {
+        if let Entry::Vacant(slot) = memo.entry(cell) {
+            slot.insert(stats);
+            inserted += 1;
+        }
+    }
+    inserted
 }
 
 #[cfg(test)]
@@ -376,12 +498,22 @@ mod tests {
     #[test]
     fn clear_empties_the_store() {
         let store = TraceStore::new();
-        store
+        let old = store
             .record(&SequentialSweep::default(), &RecordOptions::default())
             .unwrap();
+        let cell = [StreamConfig::paper_basic(4).unwrap()];
+        store.replay(&old, &cell, &[]).unwrap();
+        store.replay(&old, &cell, &[]).unwrap();
+        assert_eq!((store.cells_simulated(), store.cells_served()), (1, 1));
         assert!(!store.is_empty());
         store.clear();
         assert!(store.is_empty());
+        store.replay(&old, &cell, &[]).unwrap();
+        assert_eq!(
+            (store.cells_simulated(), store.cells_served()),
+            (1, 1),
+            "the memo went with the entry; the old trace is foreign now"
+        );
         store
             .record(&SequentialSweep::default(), &RecordOptions::default())
             .unwrap();

@@ -2,15 +2,19 @@
 //! shared [`TraceStore`] and the multi-observer [`replay`] pass, via the
 //! public API, on the in-tree `streamsim-quickcheck` harness.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use streamsim_prng::quickcheck::{check_with, Gen};
 use streamsim_prng::Rng;
 
 use streamsim_cache::{CacheConfig, Replacement, SetSampling};
 use streamsim_core::{
-    record_miss_trace, replay, replay_chunked, replay_l2, replay_streams, run_l2, run_streams,
-    FusedStreamObserver, L2GridObserver, L2Observer, MissEvent, MissObserver, RecordOptions,
-    StreamObserver, TraceStore,
+    parallel_map_on, record_miss_trace, replay, replay_cells, replay_chunked, replay_l2,
+    replay_streams, run_l2, run_streams, FusedStreamObserver, L2Cell, L2GridObserver, L2Observer,
+    MissEvent, MissObserver, MissTrace, RecordOptions, StreamObserver, TraceStore,
 };
+use streamsim_dst::{Executor, SimExecutor, ThreadExecutor};
 use streamsim_obs::{Counter, Counters};
 use streamsim_streams::StreamConfig;
 use streamsim_trace::{Access, AccessKind, Addr, BlockSize, WordSize};
@@ -81,8 +85,18 @@ fn multi_config_replay_equals_independent_passes() {
         let configs = stream_configs(g);
 
         let shared = replay_streams(&rec, &configs);
-        let independent: Vec<_> = configs.iter().map(|&c| run_streams(&rec, c)).collect();
+        let independent: Vec<_> = configs
+            .iter()
+            .map(|&c| {
+                let mut o = StreamObserver::new(c);
+                replay(&rec, &mut [&mut o]);
+                o.stats()
+            })
+            .collect();
         assert_eq!(shared, independent);
+        for (&c, stats) in configs.iter().zip(&shared) {
+            assert_eq!(run_streams(&rec, c), *stats);
+        }
     });
 }
 
@@ -189,8 +203,9 @@ fn chunk_boundaries_are_invisible_to_fused_families() {
     );
 }
 
-/// A family with mismatched geometries cannot fuse; [`replay_streams`]
-/// must fall back to independent observers with identical results.
+/// A family with mismatched geometries cannot fuse into one observer;
+/// [`replay_streams`] splits it into one fused family per geometry with
+/// results identical to independent observers.
 #[test]
 fn mixed_geometry_families_fall_back_without_changing_results() {
     check_with(
@@ -360,4 +375,125 @@ fn grid_observer_is_chunking_invariant() {
             );
         }
     });
+}
+
+/// Stream and L2 cell pools for the memo properties: a shared-geometry
+/// family plus one cell of another geometry, and grid-eligible L2 cells
+/// mixed with every fallback kind (sampled, FIFO, write-through...).
+fn cell_pools(g: &mut Gen) -> (Vec<StreamConfig>, Vec<L2Cell>) {
+    let mut streams = shared_geometry_family(g);
+    streams.push(
+        StreamConfig::paper_basic(g.gen_range(1usize..5))
+            .unwrap()
+            .with_block(BlockSize::new(256).unwrap()),
+    );
+    (streams, g.vec(1usize..8, l2_cell))
+}
+
+/// One request: a trace index and cells drawn with replacement from the
+/// pools, so requests overlap, repeat cells and permute their order.
+type Request = (usize, Vec<StreamConfig>, Vec<L2Cell>);
+
+fn request(g: &mut Gen, traces: usize, pools: &(Vec<StreamConfig>, Vec<L2Cell>)) -> Request {
+    (
+        g.gen_range(0..traces),
+        g.vec(0usize..6, |g| g.pick(&pools.0)),
+        g.vec(0usize..6, |g| g.pick(&pools.1)),
+    )
+}
+
+fn prop_workloads(g: &mut Gen, n: usize) -> Vec<RecordedTrace> {
+    (0..n)
+        .map(|i| RecordedTrace::new(format!("memo{i}"), accesses(g, 400)))
+        .collect()
+}
+
+/// Every answer of [`TraceStore::replay`] equals [`replay_cells`] on the
+/// bare trace, whatever was asked before it, and the store simulates
+/// exactly the distinct (trace, cell) pairs requested; a trace the store
+/// did not hand out is replayed but never memoized.
+#[test]
+fn memoized_replay_equals_bare_replay_cells() {
+    check_with("memoized_replay_equals_bare_replay_cells", 32, |g| {
+        let workloads = prop_workloads(g, 2);
+        let store = TraceStore::new();
+        let stored: Vec<Arc<MissTrace>> = workloads
+            .iter()
+            .map(|w| store.record(w, &tiny_l1()).unwrap())
+            .collect();
+        let bare: Vec<MissTrace> = workloads
+            .iter()
+            .map(|w| record_miss_trace(w, &tiny_l1()).unwrap())
+            .collect();
+        let pools = cell_pools(g);
+
+        let mut distinct_streams = BTreeSet::new();
+        let mut distinct_l2 = BTreeSet::new();
+        let mut requested = 0;
+        for _ in 0..g.gen_range(1usize..8) {
+            let (t, streams, l2) = request(g, stored.len(), &pools);
+            let got = store.replay(&stored[t], &streams, &l2).unwrap();
+            assert_eq!(
+                got,
+                replay_cells(&bare[t], &streams, &l2).unwrap(),
+                "streams {streams:?} l2 {l2:?}"
+            );
+            distinct_streams.extend(streams.iter().map(|&c| (t, c)));
+            distinct_l2.extend(l2.iter().map(|&c| (t, c)));
+            requested += (streams.len() + l2.len()) as u64;
+            let distinct = (distinct_streams.len() + distinct_l2.len()) as u64;
+            assert_eq!(store.cells_simulated(), distinct);
+            assert_eq!(store.cells_served(), requested - distinct);
+        }
+
+        let before = (store.cells_simulated(), store.cells_served());
+        let foreign = Arc::new(bare[0].clone());
+        for _ in 0..2 {
+            assert_eq!(
+                store.replay(&foreign, &pools.0, &pools.1).unwrap(),
+                replay_cells(&bare[0], &pools.0, &pools.1).unwrap()
+            );
+        }
+        let after = (store.cells_simulated(), store.cells_served());
+        assert_eq!(after, before, "a foreign trace must not touch the memo");
+    });
+}
+
+/// A plan of overlapping requests, several on one trace at once, gives
+/// identical answers and identical memo counters on one thread, on two
+/// racing threads and under seeded [`SimExecutor`] schedules: counters
+/// are charged at memo insertion, so a lost race is still one served
+/// cell.
+#[test]
+fn memo_answers_and_counters_are_schedule_independent() {
+    check_with(
+        "memo_answers_and_counters_are_schedule_independent",
+        16,
+        |g| {
+            let workloads = prop_workloads(g, 2);
+            let pools = cell_pools(g);
+            let plan: Vec<Request> = g.vec(2usize..10, |g| request(g, workloads.len(), &pools));
+            let run = |exec: &dyn Executor| {
+                let store = TraceStore::new();
+                let stored: Vec<Arc<MissTrace>> = workloads
+                    .iter()
+                    .map(|w| store.record(w, &tiny_l1()).unwrap())
+                    .collect();
+                let answers = parallel_map_on(exec, plan.clone(), |(t, streams, l2)| {
+                    store.replay(&stored[t], &streams, &l2).unwrap()
+                });
+                (answers, store.cells_simulated(), store.cells_served())
+            };
+            let reference = run(&ThreadExecutor::new(1));
+            assert_eq!(run(&ThreadExecutor::new(2)), reference, "two threads");
+            for _ in 0..2 {
+                let seed = g.gen_range(0u64..u64::MAX);
+                assert_eq!(
+                    run(&SimExecutor::new(seed, 2 + (seed % 3) as usize)),
+                    reference,
+                    "SimExecutor seed {seed:#x}"
+                );
+            }
+        },
+    );
 }

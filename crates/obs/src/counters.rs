@@ -43,10 +43,16 @@ pub enum Counter {
     /// Czone stride-FSM state transitions (entry inserted, META1→META2,
     /// stride re-guess, or verified allocation).
     CzoneTransitions,
+    /// Replay cells a trace store simulated and inserted into its memo
+    /// (one per distinct (trace, cell) pair).
+    ReplayCellsSimulated,
+    /// Replay cells a trace store answered from a result already in its
+    /// memo.
+    ReplayCellsServed,
 }
 
 /// Number of distinct counters.
-pub const NUM_COUNTERS: usize = Counter::CzoneTransitions as usize + 1;
+pub const NUM_COUNTERS: usize = Counter::ReplayCellsServed as usize + 1;
 
 /// All counters, in declaration order (for snapshots).
 const ALL: [Counter; NUM_COUNTERS] = [
@@ -61,6 +67,8 @@ const ALL: [Counter; NUM_COUNTERS] = [
     Counter::UnitFilterAccepts,
     Counter::UnitFilterRejects,
     Counter::CzoneTransitions,
+    Counter::ReplayCellsSimulated,
+    Counter::ReplayCellsServed,
 ];
 
 impl Counter {
@@ -78,6 +86,8 @@ impl Counter {
             Counter::UnitFilterAccepts => "unit_filter_accepts",
             Counter::UnitFilterRejects => "unit_filter_rejects",
             Counter::CzoneTransitions => "czone_transitions",
+            Counter::ReplayCellsSimulated => "replay_cells_simulated",
+            Counter::ReplayCellsServed => "replay_cells_served",
         }
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 use streamsim_trace::{BlockSize, WordSize};
 
 /// How a primary-cache miss is compared against a stream buffer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MatchPolicy {
     /// Compare only against the entry at the head of each FIFO — the
     /// paper's hardware ("subsequent primary cache misses compare their
@@ -29,7 +29,7 @@ impl fmt::Display for MatchPolicy {
 
 /// When a miss that also missed the streams is allowed to (re)allocate a
 /// stream buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Allocation {
     /// Allocate on every stream miss (Jouppi's original policy, §5).
     OnMiss,
@@ -133,7 +133,7 @@ impl std::error::Error for StreamConfigError {}
 /// assert!(matches!(cfg.allocation(), Allocation::UnitAndStrideFilters { .. }));
 /// # Ok::<(), streamsim_streams::StreamConfigError>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StreamConfig {
     num_streams: usize,
     depth: usize,

@@ -115,12 +115,14 @@ fi
 # malformed line is a hard failure here, not a surprise for a
 # downstream consumer. The exported Chrome trace must survive
 # --trace-check: well-formed flat JSON, every span's B matched by an E.
+# Table 3 asks for Table 2's stream cell again, so the trace store's
+# replay memo must log a nonzero replay_cells_served counter.
 echo "==> observability smoke (--profile + trace export under STREAMSIM_LOG=debug)"
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir" "$lint_dir"' EXIT
 STREAMSIM_LOG=debug STREAMSIM_TRACE_OUT="$obs_dir/trace.json" \
     ./target/release/streamsim-report \
-    --quick --profile --out /dev/null --json "$obs_dir/run.jsonl" table2
+    --quick --profile --out /dev/null --json "$obs_dir/run.jsonl" table2 table3
 head -n 1 "$obs_dir/run.jsonl" | grep -q '"artifact":"manifest"'
 grep -q '"artifact":"profile"' "$obs_dir/run.jsonl"
 grep -q '"phase":"record"' "$obs_dir/run.jsonl"
@@ -129,6 +131,8 @@ grep -q '"table":"run_steps"' "$obs_dir/run.jsonl"
 grep -q '"run_seed"' "$obs_dir/run.jsonl"
 grep -q '"event":"span"' "$obs_dir/run.jsonl.events.jsonl"
 grep -q '"event":"counter"' "$obs_dir/run.jsonl.events.jsonl"
+grep -q '"event":"counter","name":"replay_cells_served","value":[1-9]' \
+    "$obs_dir/run.jsonl.events.jsonl"
 for f in "$obs_dir/run.jsonl" "$obs_dir/run.jsonl.events.jsonl"; do
     ./target/release/streamsim-report --diff "$f" "$f"
 done

@@ -44,12 +44,12 @@ pub use streamsim_cache::{
 };
 pub use streamsim_core::{
     experiments, l2_geometry, paper, parse_flat_json_line, profile_trace, record_miss_trace,
-    render_json_lines, render_text, replay, replay_chunked, replay_l2, replay_streams, report,
-    run_l2, run_streams, stream_geometry, Artifact, ArtifactSink, Cell, ExecutorHandle,
-    GuardedSink, JsonLinesSink, JsonValue, L1Summary, L2GridObserver, L2Observer, MemorySystem,
-    MemorySystemBuilder, MissEvent, MissObserver, MissTrace, MultiSink, ProfileArtifact,
-    ProfilePhase, RecordOptions, SimReport, StreamObserver, StreamTopology, TextSink, TraceStore,
-    Value,
+    render_json_lines, render_text, replay, replay_cells, replay_chunked, replay_l2,
+    replay_streams, report, run_l2, run_streams, stream_geometry, Artifact, ArtifactSink, Cell,
+    ExecutorHandle, GuardedSink, JsonLinesSink, JsonValue, L1Summary, L2Cell, L2GridObserver,
+    L2Observer, MemorySystem, MemorySystemBuilder, MissEvent, MissObserver, MissTrace, MultiSink,
+    ProfileArtifact, ProfilePhase, RecordOptions, SimReport, StreamObserver, StreamTopology,
+    TextSink, TraceStore, Value,
 };
 pub use streamsim_streams::{
     Allocation, CzoneFilter, LengthBucket, LengthHistogram, MatchPolicy, MinDeltaDetector,
