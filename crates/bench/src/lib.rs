@@ -1,44 +1,18 @@
-//! Shared plumbing for the experiment bench targets.
+//! Shared plumbing for the self-timed bench targets.
 //!
-//! Each `[[bench]]` target with `harness = false` is a small `main` that
-//! runs one experiment driver from `streamsim-core` at paper scale and
-//! prints the regenerated table or figure with the paper's reported
-//! values alongside. `cargo bench --workspace` therefore reproduces the
-//! entire evaluation section.
+//! Each `[[bench]]` target has `harness = false` and times one layer of
+//! the simulator: `micro` the components, `record_replay` the
+//! record-once/replay-many engine, and `recording`, `replay` and `model`
+//! a rebuilt path against a frozen reference; with
+//! `STREAMSIM_BENCH_WRITE=1` those three write the tracked `BENCH_*.json`
+//! artifacts the perf ledger reads. This crate holds their
+//! [`timing`] harness and the flat `streamsim-bench-v2` row builders.
 //!
-//! Set `STREAMSIM_SCALE=quick` to run the reduced inputs (useful when
-//! smoke-testing the harness itself), `STREAMSIM_SAMPLING=paper` to
-//! enable the paper's 10 000-on / 90 000-off time sampling, and
-//! `STREAMSIM_PRESCREEN=1` to let the analytical model prune sweeps to
-//! the predicted Pareto frontier before simulating.
-//!
-//! The `micro` target uses the in-tree [`timing`] harness instead of an
-//! experiment driver; see that module for its output format and knobs.
+//! The paper's tables and figures are regenerated by the report binary,
+//! not by a bench: `streamsim-report [--quick] [--sampling]
+//! [--prescreen] EXPERIMENT`.
 
 pub mod timing;
-
-use std::time::Instant;
-
-use streamsim_core::experiments::{ExperimentOptions, Scale};
-
-/// Reads experiment options from the environment (see crate docs).
-pub fn options_from_env() -> ExperimentOptions {
-    let scale = match std::env::var("STREAMSIM_SCALE").as_deref() {
-        Ok("quick") => Scale::Quick,
-        _ => Scale::Paper,
-    };
-    let sampling = match std::env::var("STREAMSIM_SAMPLING").as_deref() {
-        Ok("paper") => Some((10_000, 90_000)),
-        _ => None,
-    };
-    ExperimentOptions {
-        scale,
-        sampling,
-        prescreen: std::env::var("STREAMSIM_PRESCREEN").as_deref() == Ok("1"),
-        store: Default::default(),
-        executor: Default::default(),
-    }
-}
 
 /// Builds the shared `streamsim-bench-v2` summary row every tracked
 /// `BENCH_*.json` artifact leads with (see `streamsim_obs::BENCH_SCHEMA`
@@ -86,19 +60,6 @@ pub fn bench_detail_line(benchmark: &str, table: &str, fields: &str) -> String {
     )
 }
 
-/// Runs an experiment closure, printing its name, result and wall time.
-pub fn run_experiment<R: std::fmt::Display>(name: &str, f: impl FnOnce(ExperimentOptions) -> R) {
-    // `cargo bench` passes harness flags like `--bench`; ignore them.
-    let options = options_from_env();
-    let scale = options.scale;
-    let start = Instant::now();
-    let result = f(options);
-    let elapsed = start.elapsed();
-    println!("=== {name} (scale: {scale:?}) ===");
-    println!("{result}");
-    println!("[{name} completed in {:.2?}]", elapsed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,14 +83,5 @@ mod tests {
         let detail = bench_detail_line("recording", "workload", "\"name\":\"embar\",\"refs\":7");
         assert!(detail.contains("\"table\":\"workload\""), "{detail}");
         assert!(detail.ends_with("\"refs\":7}"), "{detail}");
-    }
-
-    #[test]
-    fn default_options_are_paper_scale() {
-        // Unless the env vars are set, which the test environment does
-        // not do.
-        if std::env::var("STREAMSIM_SCALE").is_err() {
-            assert_eq!(options_from_env().scale, Scale::Paper);
-        }
     }
 }

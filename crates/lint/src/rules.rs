@@ -252,18 +252,23 @@ fn test_module_ranges(source: &str, tokens: &[Token], code: &[usize]) -> Vec<(us
 
 /// Parses every `lint:allow` annotation in the file's comments,
 /// recording well-formed ones and flagging malformed ones.
+///
+/// Each comment token is read once, from its start line: the per-line
+/// `comments` map lists a block comment under every line it spans, so
+/// reading annotations from it would repeat each one at later lines.
 fn parse_suppressions(
     view: &FileView<'_>,
     path: &str,
     findings: &mut Vec<Finding>,
 ) -> Vec<Suppression> {
     let mut out = Vec::new();
-    for (&line, comments) in &view.comments {
-        for comment in comments {
-            for sup in suppressions_in_text(comment, line, path, findings) {
-                let end_line = view.next_code_line(sup.line);
-                out.push(Suppression { end_line, ..sup });
-            }
+    for t in &view.tokens {
+        if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
+            continue;
+        }
+        for sup in suppressions_in_text(t.text(view.source), t.line, path, findings) {
+            let end_line = view.next_code_line(sup.line);
+            out.push(Suppression { end_line, ..sup });
         }
     }
     out
@@ -391,9 +396,14 @@ pub(crate) fn check_file_with_semantics(
         ));
     }
 
-    code_rules(&view, path, config, &mut denies);
+    let aliases = if config.hash_applies(path) {
+        hash_aliases(&view)
+    } else {
+        BTreeMap::new()
+    };
+    code_rules(&view, path, config, &aliases, &mut denies);
     comment_rules(&view, path, &mut denies);
-    alias_findings(&view, path, config, banned, &mut denies);
+    alias_findings(&view, path, config, banned, &aliases, &mut denies);
     denies.extend(extra_denies);
 
     // Apply suppressions: a deny whose rule has an allow covering its
@@ -445,6 +455,7 @@ fn alias_findings(
     path: &str,
     config: &LintConfig,
     banned: &[BannedName],
+    aliases: &BTreeMap<String, HashAlias>,
     out: &mut Vec<Finding>,
 ) {
     for b in banned {
@@ -467,8 +478,11 @@ fn alias_findings(
             .iter()
             .any(|s| base_idents.contains(&s.as_str()));
         // The token alias tracker already covers declaration *and* uses
-        // of in-file hash aliases; re-flagging would double-count.
-        if b.rule == "no-hash-collections" && decl_spells_base {
+        // of in-file hash aliases, including a name the resolver binds
+        // again through an inline module (`use inner::Fast;` beside
+        // `mod inner { pub use …HashMap as Fast; }`); re-flagging would
+        // double-count.
+        if b.rule == "no-hash-collections" && (decl_spells_base || aliases.contains_key(&b.name)) {
             continue;
         }
         // Lowercase std names (`var`…) are too collision-prone to match
@@ -588,12 +602,16 @@ fn hash_aliases(view: &FileView<'_>) -> BTreeMap<String, HashAlias> {
 }
 
 /// The token-stream rules (everything except to-do tagging).
-fn code_rules(view: &FileView<'_>, path: &str, config: &LintConfig, out: &mut Vec<Finding>) {
-    let aliases = if config.hash_applies(path) {
-        hash_aliases(view)
-    } else {
-        BTreeMap::new()
-    };
+///
+/// `aliases` are the file's in-file hash-collection aliases (empty where
+/// the hash rule does not apply); every use of one is flagged.
+fn code_rules(
+    view: &FileView<'_>,
+    path: &str,
+    config: &LintConfig,
+    aliases: &BTreeMap<String, HashAlias>,
+    out: &mut Vec<Finding>,
+) {
     let n = view.code.len();
     for ci in 0..n {
         if view.tok(ci).kind != TokenKind::Ident {

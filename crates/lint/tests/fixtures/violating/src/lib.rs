@@ -50,3 +50,11 @@ mod tests {
         std::time::Instant::now()
     }
 }
+
+/* Block-comment suppression scope: the annotation covers only the
+   next code line, however many lines this comment spans, so the
+   HashSet two code lines below must still fire.
+   lint:allow(no-hash-collections, seeded block-comment suppression) */
+pub type Covered = std::collections::HashSet<u8>; // suppressed (the fixture's one allow)
+pub fn between() {}
+pub type Uncovered = std::collections::HashSet<u16>; // no-hash-collections

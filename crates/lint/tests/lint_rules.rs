@@ -63,6 +63,18 @@ fn no_hash_collections_fires_and_suppresses() {
     );
 }
 
+/// Lines of the no-hash-collections denies for `source`.
+fn hash_deny_lines(source: &str) -> Vec<u32> {
+    check_rust_source("crates/core/src/probe.rs", source, &config())
+        .into_iter()
+        .filter(|f| f.level == Level::Deny)
+        .map(|f| {
+            assert_eq!(f.rule, "no-hash-collections", "{f}");
+            f.line
+        })
+        .collect()
+}
+
 #[test]
 fn hash_aliases_are_tracked_through_use_as() {
     // The declaration fires once (on the HashSet ident); each use of
@@ -70,32 +82,29 @@ fn hash_aliases_are_tracked_through_use_as() {
     // `use` cannot launder the whole file.
     let source = "use std::collections::HashSet as FastSet;\n\
                   pub fn f() { let _s: FastSet<u8> = FastSet::default(); }\n";
-    let findings = check_rust_source("crates/core/src/probe.rs", source, &config());
-    let lines: Vec<u32> = findings
-        .iter()
-        .filter(|f| f.level == Level::Deny)
-        .map(|f| {
-            assert_eq!(f.rule, "no-hash-collections");
-            f.line
-        })
-        .collect();
-    assert_eq!(lines, vec![1, 2, 2], "decl once, each alias use once");
+    assert_eq!(
+        hash_deny_lines(source),
+        vec![1, 2, 2],
+        "decl once, each alias use once"
+    );
 }
 
 #[test]
 fn hash_aliases_are_tracked_through_type_aliases() {
     let source = "type Lookup = std::collections::HashMap<u32, u32>;\n\
                   pub fn f() -> Lookup { Lookup::new() }\n";
-    let findings = check_rust_source("crates/core/src/probe.rs", source, &config());
-    let lines: Vec<u32> = findings
-        .iter()
-        .filter(|f| f.level == Level::Deny)
-        .map(|f| {
-            assert_eq!(f.rule, "no-hash-collections");
-            f.line
-        })
-        .collect();
-    assert_eq!(lines, vec![1, 2, 2], "decl once, each alias use once");
+    assert_eq!(
+        hash_deny_lines(source),
+        vec![1, 2, 2],
+        "decl once, each alias use once"
+    );
+    // The item-level parser does not look inside fn bodies; the token
+    // tracker is what catches a function-local alias and its uses.
+    let fn_local = "pub fn f() {\n\
+                    \x20   type M = std::collections::HashMap<u32, u32>;\n\
+                    \x20   let _m = M::new();\n\
+                    }\n";
+    assert_eq!(hash_deny_lines(fn_local), vec![2, 3]);
 }
 
 #[test]
@@ -104,12 +113,20 @@ fn hash_aliases_are_tracked_through_re_exports() {
     // re-exported name in the same file are flagged.
     let source = "pub use std::collections::HashMap as Map;\n\
                   pub fn f() { let _m: Map<u8, u8> = Map::new(); }\n";
-    let fired = denies(source);
     assert_eq!(
-        fired,
-        vec!["no-hash-collections".to_owned(); 3],
+        hash_deny_lines(source),
+        vec![1, 2, 2],
         "re-export decl + two uses"
     );
+    // Through an inline module the resolver also binds `inner::Fast`;
+    // the token tracker already owns every `Fast` ident, so each line
+    // fires once.
+    let inline_mod = "mod inner {\n\
+                      \x20   pub use std::collections::HashMap as Fast;\n\
+                      }\n\
+                      use inner::Fast;\n\
+                      pub fn f() { let _m: Fast<u8, u8> = Default::default(); }\n";
+    assert_eq!(hash_deny_lines(inline_mod), vec![2, 4, 5]);
 }
 
 #[test]
@@ -320,6 +337,52 @@ fn suppression_scope_ends_after_the_next_code_line() {
         vec!["no-hash-collections".to_owned()],
         "the second use is past the suppression's scope"
     );
+
+    // A block comment is one annotation, read once at its own line,
+    // however many lines the comment spans.
+    let block = "/* Block-comment annotation: it covers the\n\
+                 next code line only, however many lines\n\
+                 the comment itself spans, so the two\n\
+                 HashSet lines below must still fire.\n\
+                 lint:allow(no-hash-collections, covers only line 6) */\n\
+                 use std::collections::HashMap;\n\
+                 pub fn between() {}\n\
+                 pub type A = std::collections::HashSet<u8>;\n\
+                 pub type B = std::collections::HashSet<u16>;\n";
+    let findings = check_rust_source("crates/core/src/probe.rs", block, &config());
+    let by_level = |level: Level| -> Vec<(u32, &str)> {
+        findings
+            .iter()
+            .filter(|f| f.level == level)
+            .map(|f| (f.line, f.rule))
+            .collect()
+    };
+    assert_eq!(
+        by_level(Level::Allow),
+        vec![(5, "no-hash-collections")],
+        "exactly one allow record: {findings:?}"
+    );
+    assert_eq!(
+        by_level(Level::Deny),
+        vec![(8, "no-hash-collections"), (9, "no-hash-collections")],
+        "{findings:?}"
+    );
+    assert!(by_level(Level::Warn).is_empty(), "{findings:?}");
+
+    let reasonless = "/* first\n\
+                      second\n\
+                      lint:allow(no-hash-collections) */\n\
+                      use std::collections::HashMap;\n";
+    let findings = check_rust_source("crates/core/src/probe.rs", reasonless, &config());
+    let fired: Vec<(u32, &str)> = findings.iter().map(|f| (f.line, f.rule)).collect();
+    assert_eq!(
+        fired,
+        vec![
+            (3, "suppression-missing-reason"),
+            (4, "no-hash-collections")
+        ],
+        "one meta-rule deny per annotation"
+    );
 }
 
 #[test]
@@ -358,9 +421,19 @@ fn violating_fixture_trips_every_rule() {
     let report = lint_tree(&fixture("violating"), true, &config()).unwrap();
     let mut by_rule: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     for f in &report.findings {
-        assert_eq!(f.level, Level::Deny, "fixture has no suppressions: {f}");
+        if f.level == Level::Allow {
+            // The one annotation is the block-comment scope seed.
+            assert_eq!((f.file.as_str(), f.line), ("src/lib.rs", 57), "{f}");
+            continue;
+        }
+        assert_eq!(f.level, Level::Deny, "{f}");
         *by_rule.entry(f.rule).or_insert(0) += 1;
     }
+    assert_eq!(
+        report.allow_count(),
+        1,
+        "only the block-comment seed is suppressed"
+    );
     for rule in RULES {
         assert!(
             by_rule.contains_key(rule),
@@ -368,8 +441,9 @@ fn violating_fixture_trips_every_rule() {
         );
     }
     assert_eq!(
-        by_rule["no-hash-collections"], 12,
-        "3 direct idents + 2 alias declarations + 2 alias uses (lib.rs), \
+        by_rule["no-hash-collections"], 13,
+        "3 direct idents + 2 alias declarations + 2 alias uses + the ident \
+         two code lines below a block-comment allow (lib.rs), \
          1 decl ident (a.rs), cross-file decl + use (b.rs), \
          re-export decl + use (c.rs)"
     );
@@ -386,7 +460,7 @@ fn violating_fixture_trips_every_rule() {
         by_rule["no-unwrap-hot"], 1,
         "hot-module path matched in the fixture tree"
     );
-    assert_eq!(report.deny_count(), report.findings.len());
+    assert_eq!(report.deny_count() + 1, report.findings.len());
 }
 
 #[test]

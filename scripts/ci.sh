@@ -48,22 +48,18 @@ cargo test -q --offline "${test_scope[@]}"
 # a run over known violations (including the cross-file alias chain the
 # semantic pass exists for) must exit nonzero in BOTH verbose and
 # --quiet modes with byte-identical JSON artifacts, else the lint
-# rotted into a yes-man or --quiet regressed the exit path again.
+# rotted into a yes-man or --quiet regressed the exit path again. A
+# violation two code lines below a block-comment lint:allow must still
+# be denied: an annotation covers only its next code line.
 lint_dir=$(mktemp -d)
 trap 'rm -rf "$lint_dir"' EXIT
 echo "==> cargo build --release --offline -p streamsim-lint"
 cargo build --release --offline -p streamsim-lint
 echo "==> streamsim-lint --deny-warnings (root package)"
 ./target/release/streamsim-lint --deny-warnings
-echo "==> streamsim-lint --deny-warnings --workspace (cold AST cache)"
+echo "==> streamsim-lint --deny-warnings --workspace"
 ./target/release/streamsim-lint --deny-warnings --workspace \
-    --cache "$lint_dir/ast.cache" --json "$lint_dir/cold.jsonl" \
-    --bench-out "$lint_dir/BENCH_lint.json"
-echo "==> streamsim-lint --deny-warnings --workspace (warm AST cache)"
-./target/release/streamsim-lint --deny-warnings --workspace \
-    --cache "$lint_dir/ast.cache" --json "$lint_dir/warm.jsonl"
-cmp "$lint_dir/cold.jsonl" "$lint_dir/warm.jsonl" \
-    || { echo "error: warm-cache lint findings differ from cold" >&2; exit 1; }
+    --json "$lint_dir/workspace.jsonl" --bench-out "$lint_dir/BENCH_lint.json"
 echo "==> streamsim-lint fixture smoke (must fail, verbose)"
 if ./target/release/streamsim-lint --deny-warnings --workspace \
     --json "$lint_dir/fixture-verbose.jsonl" \
@@ -83,6 +79,9 @@ cmp "$lint_dir/fixture-verbose.jsonl" "$lint_dir/fixture-quiet.jsonl" \
 grep -q '"rule":"determinism-taint"' "$lint_dir/fixture-verbose.jsonl"
 grep -q '"resolved_path":"FastMap' "$lint_dir/fixture-verbose.jsonl" \
     || { echo "error: cross-file alias chain missing from fixture findings" >&2; exit 1; }
+grep -q '"rule":"no-hash-collections","level":"deny","file":"src/lib.rs","line":60,' \
+    "$lint_dir/fixture-verbose.jsonl" \
+    || { echo "error: a block-comment lint:allow leaked past its next code line" >&2; exit 1; }
 
 # Lint coverage ledger: the workspace bench row must round-trip through
 # --ledger and clear the files_scanned floor; a truncated scan (a tiny

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Traces are stored in the delta-compressed `SSTR` v2 format (see
-//! `streamsim_trace::io`), typically 3–6× smaller than raw.
+//! `streamsim_trace::io`), typically 3–6× smaller than 8 bytes per
+//! reference; a file in the retired v1 format is an error.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};

@@ -112,8 +112,8 @@ fn trace_io_round_trips_generated_workloads() {
     };
     let trace: Vec<Access> = collect_trace(&workload);
     let mut buf = Vec::new();
-    streamsim_trace::io::write_trace(&mut buf, &trace).unwrap();
-    let back = streamsim_trace::io::read_trace(&buf[..]).unwrap();
+    streamsim_trace::io::write_trace_compressed(&mut buf, &trace).unwrap();
+    let back = streamsim_trace::io::read_trace_compressed(&buf[..]).unwrap();
     assert_eq!(trace, back);
 }
 

@@ -1080,7 +1080,7 @@ fn lint_bench_row_feeds_the_ledger_coverage_floor() {
         "{\"schema\":\"streamsim-bench-v2\",\"table\":\"summary\",\"benchmark\":\"lint\",\
          \"run_config\":\"lint-workspace\",\"scale\":\"workspace\",\"samples\":1,\
          \"run_steps\":180,\"files_scanned\":180,\"resolution_edges\":950,\"findings\":10,\
-         \"cache_hits\":0,\"wall_seconds\":0.2}\n",
+         \"wall_seconds\":0.2}\n",
     )
     .unwrap();
     let append = report()
@@ -1113,7 +1113,7 @@ fn lint_bench_row_feeds_the_ledger_coverage_floor() {
         "{\"schema\":\"streamsim-bench-v2\",\"table\":\"summary\",\"benchmark\":\"lint\",\
          \"run_config\":\"lint-root\",\"scale\":\"root\",\"samples\":1,\
          \"run_steps\":12,\"files_scanned\":12,\"resolution_edges\":40,\"findings\":2,\
-         \"cache_hits\":0,\"wall_seconds\":0.01}\n",
+         \"wall_seconds\":0.01}\n",
     )
     .unwrap();
     let append = report()

@@ -70,26 +70,43 @@ fn replay_rejects_missing_file() {
     assert!(!out.status.success());
 }
 
-/// A 16-byte file whose header claims 2^40 records: the tool must
-/// report a clean error, not abort on a 16 TB reservation (exit 134).
-#[test]
-fn info_rejects_a_huge_header_count_without_aborting() {
-    let path = tmp("huge-count.sstr");
-    let mut bytes = b"SSTR".to_vec();
-    bytes.extend_from_slice(&2u32.to_le_bytes());
-    bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
+/// Runs `info` on a file holding `bytes`; it must exit 1 with an
+/// `error:` line, which is returned.
+fn info_error(name: &str, bytes: &[u8]) -> String {
+    let path = tmp(name);
+    std::fs::write(&path, bytes).unwrap();
     let out = trace_tool()
         .args(["info", path.to_str().unwrap()])
         .output()
         .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("error:") && err.contains("truncated trace"),
-        "{err}"
-    );
     std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("error:"), "{err}");
+    err
+}
+
+/// A 16-byte file whose header claims 2^40 records: the tool must
+/// report a clean error, not abort on a 16 TB reservation (exit 134).
+#[test]
+fn info_rejects_a_huge_header_count_without_aborting() {
+    let mut bytes = b"SSTR".to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    let err = info_error("huge-count.sstr", &bytes);
+    assert!(err.contains("truncated trace"), "{err}");
+}
+
+/// A file in the retired fixed-width v1 format is refused by version
+/// number, not misread as v2 records.
+#[test]
+fn info_rejects_a_v1_trace_by_version() {
+    let mut bytes = b"SSTR".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&64u64.to_le_bytes());
+    let err = info_error("v1.sstr", &bytes);
+    assert!(err.contains("unsupported trace version 1"), "{err}");
 }
 
 #[test]
