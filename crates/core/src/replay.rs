@@ -36,13 +36,15 @@
 
 // lint:hot-module — the replay loop touches every recorded miss event per observer
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use streamsim_cache::{
     CacheConfig, CacheConfigError, CacheStats, LruStackGrid, SetAssocCache, SetSampling,
     StackGridError,
 };
-use streamsim_streams::{StreamConfig, StreamStats, StreamSystem};
+use streamsim_model::KeyTable;
+use streamsim_streams::{Allocation, MatchPolicy, StreamConfig, StreamStats, StreamSystem};
 use streamsim_trace::{AccessKind, Addr, BlockAddr, BlockSize, WordAddr, WordSize};
 
 use crate::{MissEvent, MissTrace};
@@ -568,23 +570,154 @@ pub fn replay_l2(trace: &MissTrace, cells: &[L2Cell]) -> Result<Vec<CacheStats>,
     Ok(replay_cells(trace, &[], cells)?.1)
 }
 
+/// A stream cell up to its czone class: every field of a
+/// [`StreamConfig`], with a czone size replaced by the smallest
+/// requested size that splits the trace's fetch words into the same
+/// partitions (see `czone_classes`).
+type CellKey = (usize, usize, BlockSize, WordSize, MatchPolicy, Allocation);
+
+/// Maps each `(word size, czone size)` of `streams` to the smallest
+/// requested czone size of the same word size whose partition of
+/// `trace`'s fetch words is identical.
+///
+/// The §7 filter uses the czone size only to cut a word address into a
+/// partition tag, and compares tags only for equality, so two sizes
+/// that put the trace's fetch words into the same partitions give the
+/// same statistics. A coarser size's partition merges classes of a
+/// finer one, so two sizes with the same number of distinct tags have
+/// the same partition; counts never grow with the size, which makes
+/// each class a run of consecutive sizes. Each word size whose czone
+/// cells name fewer than two sizes is skipped without touching the
+/// events: a single-size request (Table 4's) pays nothing. Otherwise
+/// one walk over the fetches collects the distinct tags at the finest
+/// requested size (a few `u64`s per distinct tag, not per fetch), freed
+/// before the caller's pass starts.
+fn czone_classes(trace: &MissTrace, streams: &[StreamConfig]) -> BTreeMap<(WordSize, u32), u32> {
+    let mut sizes: BTreeMap<WordSize, Vec<u32>> = BTreeMap::new();
+    for c in streams {
+        if let Allocation::UnitAndStrideFilters { czone_bits, .. } = c.allocation() {
+            sizes.entry(c.word()).or_default().push(czone_bits);
+        }
+    }
+    let mut classes = BTreeMap::new();
+    for (word, mut bits) in sizes {
+        bits.sort_unstable();
+        bits.dedup();
+        if bits.len() < 2 {
+            continue;
+        }
+        // A coarser size's tag is a shift of the finest size's tag, so
+        // only the distinct finest tags are kept, found through a
+        // `KeyTable` set; consecutive fetches in one finest partition
+        // (a sequential stream) skip even the probe.
+        let finest = bits[0];
+        let mut seen: KeyTable<()> = KeyTable::new();
+        let mut tags: Vec<u64> = Vec::new();
+        let mut last = None;
+        for event in trace.events() {
+            if let MissEvent::Fetch { addr, .. } = *event {
+                let tag = addr.word(word).czone_tag(finest);
+                if last != Some(tag) {
+                    last = Some(tag);
+                    if seen.insert(tag, ()).is_none() {
+                        tags.push(tag);
+                    }
+                }
+            }
+        }
+        tags.sort_unstable();
+        // Sorted tags stay sorted under a shift: distinct coarser tags
+        // are the first one plus every change.
+        let partitions = |bits: u32| {
+            let shift = bits - finest;
+            usize::from(!tags.is_empty())
+                + tags
+                    .windows(2)
+                    .filter(|t| t[0] >> shift != t[1] >> shift)
+                    .count()
+        };
+        let mut class = (bits[0], partitions(bits[0]));
+        for b in bits {
+            let n = partitions(b);
+            if n != class.1 {
+                class = (b, n);
+            }
+            classes.insert((word, b), class.0);
+        }
+    }
+    classes
+}
+
+/// The cells one pass must simulate for `streams`, and for each
+/// requested cell the index of the simulated cell whose statistics it
+/// takes. Cells equal up to their czone class (exact duplicates
+/// included) share the first of them in input order, so every
+/// simulated cell is one that was requested.
+fn distinct_cells(trace: &MissTrace, streams: &[StreamConfig]) -> (Vec<StreamConfig>, Vec<usize>) {
+    let classes = czone_classes(trace, streams);
+    let key = |c: &StreamConfig| -> CellKey {
+        let allocation = match c.allocation() {
+            Allocation::UnitAndStrideFilters {
+                unit_entries,
+                stride_entries,
+                czone_bits,
+            } => Allocation::UnitAndStrideFilters {
+                unit_entries,
+                stride_entries,
+                czone_bits: classes
+                    .get(&(c.word(), czone_bits))
+                    .copied()
+                    .unwrap_or(czone_bits),
+            },
+            other => other,
+        };
+        (
+            c.num_streams(),
+            c.depth(),
+            c.block(),
+            c.word(),
+            c.match_policy(),
+            allocation,
+        )
+    };
+    let mut first: BTreeMap<CellKey, usize> = BTreeMap::new();
+    let mut simulated = Vec::new();
+    let slots = streams
+        .iter()
+        .map(|c| {
+            *first.entry(key(c)).or_insert_with(|| {
+                simulated.push(*c);
+                simulated.len() - 1
+            })
+        })
+        .collect();
+    (simulated, slots)
+}
+
 /// Replays `trace` once against every requested stream and
 /// secondary-cache cell, returning each side's statistics in input
 /// order. This is the one replay entry point: [`replay_streams`],
 /// [`replay_l2`] and the memoizing [`TraceStore::replay`] all end here,
 /// and only observers with bespoke plumbing call [`replay`] directly.
 ///
-/// * Stream cells split into one [`FusedStreamObserver`] per distinct
-///   block/word geometry, so each address is decoded once per event
-///   per geometry (every paper sweep has one).
+/// * Stream cells that give the same statistics by construction — equal
+///   but for a czone size that partitions the trace's fetch words
+///   identically, or exact duplicates — are simulated once and the
+///   result copied to each of them; the `ReplayCellsShared` counter
+///   charges every copy, and replay span deliveries count only the
+///   systems simulated.
+/// * The simulated stream cells split into one [`FusedStreamObserver`]
+///   per distinct block/word geometry, so each address is decoded once
+///   per event per geometry (every paper sweep has one).
 /// * Unsampled LRU write-back/write-allocate L2 cells sharing the first
 ///   such cell's block size join one [`L2GridObserver`]; every other L2
 ///   cell (FIFO, random or tree-PLRU replacement, write-through,
 ///   set-sampled, or another block size) gets its own [`L2Observer`].
 ///
 /// All of them observe a single pass over the events; a request with no
-/// cells makes no pass. The function memoizes nothing, so benches and
-/// property suites calling it time and check real simulation.
+/// cells makes no pass. The function memoizes nothing across calls, so
+/// benches and property suites calling it time and check real
+/// simulation.
 ///
 /// [`TraceStore::replay`]: crate::TraceStore::replay
 ///
@@ -600,14 +733,19 @@ pub fn replay_cells(
     if streams.is_empty() && l2.is_empty() {
         return Ok((Vec::new(), Vec::new()));
     }
+    let (simulated, slots) = distinct_cells(trace, streams);
+    streamsim_obs::count(
+        streamsim_obs::Counter::ReplayCellsShared,
+        (streams.len() - simulated.len()) as u64,
+    );
     let geometry = |c: &StreamConfig| (c.block(), c.word());
-    let mut geometries: Vec<(BlockSize, WordSize)> = streams.iter().map(geometry).collect();
+    let mut geometries: Vec<(BlockSize, WordSize)> = simulated.iter().map(geometry).collect();
     geometries.sort_unstable();
     geometries.dedup();
     let mut families: Vec<FusedStreamObserver> = geometries
         .iter()
         .map(|&(block, word)| {
-            let members: Vec<StreamConfig> = streams
+            let members: Vec<StreamConfig> = simulated
                 .iter()
                 .filter(|c| geometry(c) == (block, word))
                 .copied()
@@ -650,13 +788,14 @@ pub fn replay_cells(
     }
 
     let mut family_stats: Vec<_> = families.iter().map(|f| f.stats().into_iter()).collect();
-    let stream_stats = streams
+    let simulated_stats: Vec<StreamStats> = simulated
         .iter()
         .filter_map(|c| {
             let family = geometries.binary_search(&geometry(c)).ok()?;
             family_stats[family].next()
         })
         .collect();
+    let stream_stats = slots.iter().map(|&s| simulated_stats[s]).collect();
     let mut grid_stats = grid.stats().into_iter();
     let mut fallback_stats = fallback.iter().map(L2Observer::stats);
     let l2_stats = in_grid

@@ -467,6 +467,41 @@ pub fn parse_flat_json_line(line: &str) -> Result<Vec<(String, JsonValue)>, Stri
     Ok(pairs)
 }
 
+/// Whether `text` is a number in JSON's grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Rust's float syntax
+/// is wider (`01`, `1.`, `-.5`), so it cannot be the judge.
+fn is_json_number(text: &[u8]) -> bool {
+    let digits = |from: usize| {
+        text[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count()
+    };
+    let mut i = usize::from(text.first() == Some(&b'-'));
+    match digits(i) {
+        0 => return false,
+        n if n > 1 && text[i] == b'0' => return false,
+        n => i += n,
+    }
+    if text.get(i) == Some(&b'.') {
+        match digits(i + 1) {
+            0 => return false,
+            n => i += 1 + n,
+        }
+    }
+    if matches!(text.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(text.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        match digits(i) {
+            0 => return false,
+            n => i += n,
+        }
+    }
+    i == text.len()
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -512,18 +547,13 @@ impl Parser<'_> {
                     Some(b'n') => out.push('\n'),
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char).to_digit(16).ok_or("bad \\u escape digit")?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
+                    Some(b'u') => out.push(self.unicode_escape()?),
                     None => return Err("unterminated string".into()),
                     Some(other) => return Err(format!("unsupported escape {:?}", other as char)),
                 },
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control byte {b:#04x} in string"));
+                }
                 Some(b) if b < 0x80 => out.push(b as char),
                 Some(b) => {
                     // Re-assemble a UTF-8 sequence (input is a &str, so
@@ -545,6 +575,40 @@ impl Parser<'_> {
         }
     }
 
+    /// The four hex digits after `\\u`.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let d = self.next().ok_or("truncated \\u escape")?;
+            code = code * 16 + (d as char).to_digit(16).ok_or("bad \\u escape digit")?;
+        }
+        Ok(code)
+    }
+
+    /// The character of a `\\u` escape (the `\\u` already consumed): a
+    /// UTF-16 high surrogate must be followed by an escaped low one, and
+    /// any other surrogate is an error, not U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4()?;
+        let code = match code {
+            0xd800..=0xdbff => {
+                let low = if self.bytes[self.pos..].starts_with(b"\\u") {
+                    self.pos += 2;
+                    self.hex4()?
+                } else {
+                    0
+                };
+                if !(0xdc00..=0xdfff).contains(&low) {
+                    return Err(format!("lone surrogate \\u{code:04x} in string"));
+                }
+                0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+            }
+            0xdc00..=0xdfff => return Err(format!("lone surrogate \\u{code:04x} in string")),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| format!("bad \\u escape {code:#x}"))
+    }
+
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
             Some(b'"') => Ok(JsonValue::Text(self.string()?)),
@@ -560,6 +624,9 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+                if !is_json_number(text.as_bytes()) {
+                    return Err(format!("bad number {text:?}: not JSON number syntax"));
+                }
                 text.parse::<f64>()
                     .map(JsonValue::Num)
                     .map_err(|e| format!("bad number {text:?}: {e}"))
@@ -703,6 +770,45 @@ mod tests {
         assert!(parse_flat_json_line("{\"a\":1} extra").is_err());
         assert!(parse_flat_json_line("{\"a\" 1}").is_err());
         assert!(parse_flat_json_line("{\"a\":1").is_err());
+    }
+
+    /// Strict strings: a raw control byte and an unpaired UTF-16
+    /// surrogate escape are named errors (both once read as "no drift");
+    /// an escaped surrogate pair is one character.
+    #[test]
+    fn parser_rejects_control_bytes_and_lone_surrogates() {
+        let err = |line: &str| parse_flat_json_line(line).unwrap_err();
+        assert_eq!(err("{\"a\":\"x\ty\"}"), "raw control byte 0x09 in string");
+        assert_eq!(err("{\"a\x01\":1}"), "raw control byte 0x01 in string");
+        assert_eq!(
+            err("{\"b\":\"\\ud800\"}"),
+            "lone surrogate \\ud800 in string"
+        );
+        assert_eq!(
+            err("{\"b\":\"\\udfff\"}"),
+            "lone surrogate \\udfff in string"
+        );
+        assert_eq!(
+            err("{\"b\":\"\\udbff\\u0041\"}"),
+            "lone surrogate \\udbff in string"
+        );
+        let pairs = parse_flat_json_line("{\"e\":\"\\ud83d\\ude00\\u00e9\"}").unwrap();
+        assert_eq!(pairs[0].1, JsonValue::Text("\u{1f600}\u{e9}".to_owned()));
+    }
+
+    /// Numbers follow JSON's grammar, not Rust's wider float syntax.
+    #[test]
+    fn parser_reads_only_json_numbers() {
+        for ok in ["0", "-0", "42", "-1.5e3", "1E+2", "0.25e-07", "12.0"] {
+            let line = format!("{{\"n\":{ok}}}");
+            assert!(parse_flat_json_line(&line).is_ok(), "{ok}");
+        }
+        for bad in [
+            "01", "-01", "1.", "-.5", "-", "1e", "1E+", "1.5.2", "1-2", "0x1",
+        ] {
+            let line = format!("{{\"n\":{bad}}}");
+            assert!(parse_flat_json_line(&line).is_err(), "{bad}");
+        }
     }
 
     #[test]

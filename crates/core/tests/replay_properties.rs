@@ -497,3 +497,135 @@ fn memo_answers_and_counters_are_schedule_independent() {
         },
     );
 }
+
+/// A cell equal to `c` but for its czone size.
+fn with_czone(c: StreamConfig, czone_bits: u32) -> StreamConfig {
+    use streamsim_streams::Allocation;
+    let Allocation::UnitAndStrideFilters {
+        unit_entries,
+        stride_entries,
+        ..
+    } = c.allocation()
+    else {
+        return c;
+    };
+    StreamConfig::new(
+        c.num_streams(),
+        c.depth(),
+        Allocation::UnitAndStrideFilters {
+            unit_entries,
+            stride_entries,
+            czone_bits,
+        },
+    )
+    .unwrap()
+    .with_block(c.block())
+    .with_word(c.word())
+    .with_match_policy(c.match_policy())
+}
+
+/// Distinct czone tags of `rec`'s fetch words: the partition count that
+/// decides which czone sizes `replay_cells` may share.
+fn partitions(rec: &MissTrace, word: WordSize, bits: u32) -> usize {
+    rec.events()
+        .iter()
+        .filter_map(|e| match *e {
+            MissEvent::Fetch { addr, .. } => Some(addr.word(word).czone_tag(bits)),
+            MissEvent::Writeback { .. } => None,
+        })
+        .collect::<BTreeSet<u64>>()
+        .len()
+}
+
+/// A family that mixes czone cells of a few sizes with every other
+/// allocation policy, at random stream counts, depths and filter sizes,
+/// and repeats some czone cells at another size, so cells equal but for
+/// their czone size are common.
+fn czone_family(g: &mut Gen) -> Vec<StreamConfig> {
+    let mut configs = shared_geometry_family(g);
+    let sizes = g.vec(2usize..5, |g| g.gen_range(1u32..26));
+    for c in &mut configs {
+        if g.gen_bool(0.5) {
+            *c = StreamConfig::new(
+                c.num_streams(),
+                c.depth(),
+                streamsim_streams::Allocation::UnitAndStrideFilters {
+                    unit_entries: g.gen_range(1usize..12),
+                    stride_entries: g.gen_range(1usize..12),
+                    czone_bits: g.pick(&sizes),
+                },
+            )
+            .unwrap()
+            .with_block(c.block())
+            .with_word(c.word())
+            .with_match_policy(c.match_policy());
+        }
+    }
+    for _ in 0..g.gen_range(0usize..6) {
+        let c = g.pick(&configs);
+        configs.insert(
+            g.gen_range(0..=configs.len()),
+            with_czone(c, g.pick(&sizes)),
+        );
+    }
+    configs
+}
+
+/// `replay_cells` on a family mixing czone sizes equals one
+/// [`StreamObserver`] per cell replayed at a random chunk length,
+/// whichever cells it simulates and whichever it copies.
+#[test]
+fn czone_sharing_replay_equals_one_observer_per_cell() {
+    check_with(
+        "czone_sharing_replay_equals_one_observer_per_cell",
+        48,
+        |g| {
+            let w = RecordedTrace::new("prop", accesses(g, 600));
+            let rec = record_miss_trace(&w, &tiny_l1()).unwrap();
+            let configs = czone_family(g);
+            let chunk = g.gen_range(1usize..200);
+            let lone: Vec<_> = configs
+                .iter()
+                .map(|&c| {
+                    let mut o = StreamObserver::new(c);
+                    replay_chunked(&rec, &mut [&mut o], chunk);
+                    o.stats()
+                })
+                .collect();
+            assert_eq!(
+                replay_cells(&rec, &configs, &[]).unwrap().0,
+                lone,
+                "{configs:?}"
+            );
+        },
+    );
+}
+
+/// A directed trace on which two czone sizes share a class (8 and 10
+/// bits both put each 1024-word-strided fetch in its own partition) and
+/// two do not (20 bits puts them all in one, where the stride trains):
+/// the shared cells are answered exactly and the unshared ones keep
+/// their own, different, statistics.
+#[test]
+fn czone_sizes_share_only_identical_partitions() {
+    let stride = 4096u64;
+    let refs = (0..4)
+        .flat_map(|_| (0..64u64).map(|i| Access::new(Addr::new(i * stride), AccessKind::Load)))
+        .collect();
+    let rec = record_miss_trace(&RecordedTrace::new("strided", refs), &tiny_l1()).unwrap();
+    let word = WordSize::default();
+    let count = |bits| partitions(&rec, word, bits);
+    assert_eq!(count(8), count(10), "8 and 10 bits share a class");
+    assert_ne!(count(10), count(20), "10 and 20 bits do not");
+    assert_eq!(count(20), count(22));
+
+    let base = StreamConfig::paper_strided(4, 8).unwrap();
+    let configs: Vec<StreamConfig> = [8, 20, 10, 22]
+        .iter()
+        .map(|&bits| with_czone(base, bits))
+        .collect();
+    let shared = replay_cells(&rec, &configs, &[]).unwrap().0;
+    assert_eq!(shared, per_event_stream_passes(&rec, &configs));
+    assert_ne!(shared[0], shared[1], "unshared sizes keep their own stats");
+    assert!(shared[1].strided_allocations > 0);
+}

@@ -20,9 +20,10 @@
 //!   plausibly be optimal.
 //!
 //! The crate is hermetic by construction: no dependencies, no clocks,
-//! no hash-order nondeterminism (`BTreeMap` only). Profiles and
-//! predictions are pure functions of the event stream, byte-identical
-//! across runs, threads and executors.
+//! no hash-order nondeterminism (the profile pass's per-item maps are a
+//! fixed-hash table with no iteration API). Profiles and predictions
+//! are pure functions of the event stream, byte-identical across runs,
+//! threads and executors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +34,8 @@ pub mod hist;
 pub mod pareto;
 pub mod predict;
 pub mod profile;
+pub mod reference;
+pub mod table;
 
 pub use fenwick::Fenwick;
 pub use hist::DistHist;
@@ -44,3 +47,4 @@ pub use profile::{
     CzoneSketch, LocalityProfile, ProfileBuilder, StreamProfile, CZONE_GRID, REUSE_GRANULARITIES,
     SD_BUCKETS,
 };
+pub use table::KeyTable;

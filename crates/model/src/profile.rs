@@ -31,13 +31,15 @@
 //!   over stream stack distance.
 //!
 //! The profile is a pure function of the event stream: no clocks, no
-//! randomness, no capacity-dependent iteration order (`BTreeMap`
-//! throughout), so two builds over the same trace are byte-identical.
-
-use std::collections::BTreeMap;
+//! randomness, and no iteration over the per-item maps (each is a
+//! [`KeyTable`], which has no iteration API), so two builds over the
+//! same trace are byte-identical. The `BTreeMap`-indexed builder the
+//! tables replaced is kept as [`crate::reference`], the oracle this one
+//! is checked against.
 
 use crate::fenwick::Fenwick;
 use crate::hist::DistHist;
+use crate::table::KeyTable;
 
 /// Reuse-distance granularities profiled, as multiples of the L1 block
 /// size (so a 32-byte L1 block yields 32/64/128-byte histograms).
@@ -196,7 +198,7 @@ impl LocalityProfile {
 #[derive(Debug)]
 struct ReuseStack {
     fen: Fenwick,
-    last: BTreeMap<u64, usize>,
+    last: KeyTable<usize>,
     hist: DistHist,
 }
 
@@ -204,7 +206,7 @@ impl ReuseStack {
     fn new(capacity: usize) -> Self {
         ReuseStack {
             fen: Fenwick::new(capacity),
-            last: BTreeMap::new(),
+            last: KeyTable::new(),
             hist: DistHist::new(),
         }
     }
@@ -224,30 +226,15 @@ impl ReuseStack {
 }
 
 /// One tracked unit-stride run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Run {
-    id: u64,
     /// Blocks fetched so far (1 after the run's first fetch).
     pos: u32,
     /// Allocation clock at this run's latest fetch.
     allocs: u64,
-}
-
-/// Per-run last-touch bookkeeping for the all-runs stream stack.
-#[derive(Debug)]
-struct RunStack {
-    /// Marks at every run's latest touch (any position).
-    all: Fenwick,
-    last_all: BTreeMap<u64, usize>,
-}
-
-impl RunStack {
-    fn new(capacity: usize) -> Self {
-        RunStack {
-            all: Fenwick::new(capacity),
-            last_all: BTreeMap::new(),
-        }
-    }
+    /// Fetch clock at this run's latest fetch: where its mark sits in
+    /// the all-runs stack.
+    last: usize,
 }
 
 /// The §7 czone FSM replica for one grid czone size, plus the expected
@@ -261,7 +248,7 @@ struct CzoneState {
     /// Trained strided runs keyed by their expected next word index:
     /// (stride in words, allocation clock at the run's previous fetch —
     /// unit establishments plus this czone size's own trainings).
-    expect: BTreeMap<u64, (i64, u64)>,
+    expect: KeyTable<(i64, u64)>,
     trained: u64,
     cont: Vec<u64>,
 }
@@ -275,7 +262,7 @@ impl CzoneState {
         CzoneState {
             czone_bits,
             table: Vec::with_capacity(Self::CAPACITY),
-            expect: BTreeMap::new(),
+            expect: KeyTable::new(),
             trained: 0,
             cont: vec![0; SD_BUCKETS + 1],
         }
@@ -328,10 +315,13 @@ pub struct ProfileBuilder {
     fetch_clock: usize,
     fetches: u64,
     writebacks: u64,
-    /// Expected next block index → the unit run that predicts it.
-    unit_expect: BTreeMap<u64, Run>,
-    run_stack: RunStack,
-    next_run_id: u64,
+    /// Expected next block index → the unit run that predicts it. A run
+    /// is touched only through this entry, so the entry also carries
+    /// the run's last-touch mark.
+    unit_expect: KeyTable<Run>,
+    /// Marks at every run's latest touch (any position): the all-runs
+    /// stream stack.
+    run_marks: Fenwick,
     runs: u64,
     /// Run establishments so far — the allocation clock. A unit-
     /// filtered system allocates a buffer exactly at these events.
@@ -358,9 +348,8 @@ impl ProfileBuilder {
             fetch_clock: 0,
             fetches: 0,
             writebacks: 0,
-            unit_expect: BTreeMap::new(),
-            run_stack: RunStack::new(capacity_events),
-            next_run_id: 0,
+            unit_expect: KeyTable::new(),
+            run_marks: Fenwick::new(capacity_events),
             runs: 0,
             alloc_clock: 0,
             pos2: vec![0; SD_BUCKETS + 1],
@@ -387,13 +376,10 @@ impl ProfileBuilder {
         self.fetch_clock += 1;
 
         // Unit-run continuation?
-        match self.unit_expect.remove(&block) {
+        match self.unit_expect.remove(block) {
             Some(run) => {
                 let pos = run.pos + 1;
-                let sd = match self.run_stack.last_all.get(&run.id) {
-                    Some(&prev) => self.run_stack.all.between(prev, now) as u64,
-                    None => STALE_SD,
-                };
+                let sd = self.run_marks.between(run.last, now) as u64;
                 if pos == 2 {
                     self.pos2[(sd as usize).min(SD_BUCKETS)] += 1;
                     // Establishing: a unit-filtered system allocates a
@@ -407,33 +393,28 @@ impl ProfileBuilder {
                     self.pos3p_alloc[(da as usize).min(SD_BUCKETS)] += 1;
                 }
                 // Move the run's mark to this touch.
-                if let Some(prev) = self.run_stack.last_all.insert(run.id, now) {
-                    self.run_stack.all.clear(prev);
-                }
-                self.run_stack.all.set(now);
+                self.run_marks.clear(run.last);
+                self.run_marks.set(now);
                 self.unit_expect.insert(
                     block + 1,
                     Run {
-                        id: run.id,
                         pos,
                         allocs: self.alloc_clock,
+                        last: now,
                     },
                 );
             }
             None => {
                 // A fresh unit run; in a filtered system this fetch
                 // falls through the unit filter to the czone filters.
-                let id = self.next_run_id;
-                self.next_run_id += 1;
                 self.runs += 1;
-                self.run_stack.last_all.insert(id, now);
-                self.run_stack.all.set(now);
+                self.run_marks.set(now);
                 self.unit_expect.insert(
                     block + 1,
                     Run {
-                        id,
                         pos: 1,
                         allocs: self.alloc_clock,
+                        last: now,
                     },
                 );
                 self.czone_fetch(word);
@@ -450,7 +431,7 @@ impl ProfileBuilder {
             let clock = self.alloc_clock + cz.trained;
             // A trained strided run continuing at its expected word
             // hits the stream — it never reaches the filters.
-            if let Some((stride, prev)) = cz.expect.remove(&word) {
+            if let Some((stride, prev)) = cz.expect.remove(word) {
                 let da = clock - prev;
                 cz.cont[(da as usize).min(SD_BUCKETS)] += 1;
                 if da < STALE_SD {

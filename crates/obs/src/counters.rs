@@ -49,10 +49,15 @@ pub enum Counter {
     /// Replay cells a trace store answered from a result already in its
     /// memo.
     ReplayCellsServed,
+    /// Stream cells one replay pass answered with the statistics of an
+    /// equivalent cell it simulated: the same configuration, or one that
+    /// differs only in a czone size partitioning the trace's fetch words
+    /// identically.
+    ReplayCellsShared,
 }
 
 /// Number of distinct counters.
-pub const NUM_COUNTERS: usize = Counter::ReplayCellsServed as usize + 1;
+pub const NUM_COUNTERS: usize = Counter::ReplayCellsShared as usize + 1;
 
 /// All counters, in declaration order (for snapshots).
 const ALL: [Counter; NUM_COUNTERS] = [
@@ -69,6 +74,7 @@ const ALL: [Counter; NUM_COUNTERS] = [
     Counter::CzoneTransitions,
     Counter::ReplayCellsSimulated,
     Counter::ReplayCellsServed,
+    Counter::ReplayCellsShared,
 ];
 
 impl Counter {
@@ -88,6 +94,7 @@ impl Counter {
             Counter::CzoneTransitions => "czone_transitions",
             Counter::ReplayCellsSimulated => "replay_cells_simulated",
             Counter::ReplayCellsServed => "replay_cells_served",
+            Counter::ReplayCellsShared => "replay_cells_shared",
         }
     }
 }

@@ -115,13 +115,15 @@ fi
 # downstream consumer. The exported Chrome trace must survive
 # --trace-check: well-formed flat JSON, every span's B matched by an E.
 # Table 3 asks for Table 2's stream cell again, so the trace store's
-# replay memo must log a nonzero replay_cells_served counter.
+# replay memo must log a nonzero replay_cells_served counter; Figure 9
+# asks for czone sizes that partition a quick trace identically, so
+# replay must log a nonzero replay_cells_shared counter.
 echo "==> observability smoke (--profile + trace export under STREAMSIM_LOG=debug)"
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir" "$lint_dir"' EXIT
 STREAMSIM_LOG=debug STREAMSIM_TRACE_OUT="$obs_dir/trace.json" \
     ./target/release/streamsim-report \
-    --quick --profile --out /dev/null --json "$obs_dir/run.jsonl" table2 table3
+    --quick --profile --out /dev/null --json "$obs_dir/run.jsonl" table2 table3 fig9
 head -n 1 "$obs_dir/run.jsonl" | grep -q '"artifact":"manifest"'
 grep -q '"artifact":"profile"' "$obs_dir/run.jsonl"
 grep -q '"phase":"record"' "$obs_dir/run.jsonl"
@@ -131,6 +133,8 @@ grep -q '"run_seed"' "$obs_dir/run.jsonl"
 grep -q '"event":"span"' "$obs_dir/run.jsonl.events.jsonl"
 grep -q '"event":"counter"' "$obs_dir/run.jsonl.events.jsonl"
 grep -q '"event":"counter","name":"replay_cells_served","value":[1-9]' \
+    "$obs_dir/run.jsonl.events.jsonl"
+grep -q '"event":"counter","name":"replay_cells_shared","value":[1-9]' \
     "$obs_dir/run.jsonl.events.jsonl"
 for f in "$obs_dir/run.jsonl" "$obs_dir/run.jsonl.events.jsonl"; do
     ./target/release/streamsim-report --diff "$f" "$f"
@@ -167,7 +171,9 @@ fi
 # must now fail with exit status 1 and a named reason. A 16-byte trace
 # whose header claims 2^40 records (an abort, status 134, when the count
 # sized the allocation); an empty ledger (once "clears every metric
-# floor"); and a malformed --diff line (once "no drift").
+# floor"); and three malformed --diff lines (each once "no drift"): a
+# truncated escape, a raw tab inside a string and a lone UTF-16
+# surrogate escape (once read as U+FFFD).
 echo "==> untrusted-input smokes (must fail cleanly)"
 must_fail_cleanly() {
     local expect=$1 status=0
@@ -187,6 +193,12 @@ must_fail_cleanly 'recording: no entries' \
 printf '{"a":"x\\' > "$obs_dir/malformed.jsonl"
 must_fail_cleanly '^error: .*malformed.jsonl:1' ./target/release/streamsim-report \
     --diff "$obs_dir/malformed.jsonl" "$obs_dir/malformed.jsonl"
+printf '{"a":"x\ty"}\n' > "$obs_dir/control.jsonl"
+must_fail_cleanly 'raw control byte 0x09 in string' ./target/release/streamsim-report \
+    --diff "$obs_dir/control.jsonl" "$obs_dir/control.jsonl"
+printf '{"b":"\\ud800"}\n' > "$obs_dir/surrogate.jsonl"
+must_fail_cleanly 'lone surrogate \\ud800 in string' ./target/release/streamsim-report \
+    --diff "$obs_dir/surrogate.jsonl" "$obs_dir/surrogate.jsonl"
 
 # Deterministic-simulation smoke: the full seed sweeps already ran as
 # part of `cargo test` above; this re-runs the DST engine suite in

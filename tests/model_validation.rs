@@ -175,6 +175,35 @@ fn l2_grid_errors() -> (f64, f64) {
     (max_hit, mean_hit)
 }
 
+/// The production profile builder equals the frozen `BTreeMap`
+/// reference, field for field, on every quick-scale kernel: the same
+/// walk as `profile_trace`, fed to [`ReferenceProfileBuilder`].
+#[test]
+fn profiles_equal_the_btreemap_reference_on_every_kernel() {
+    use streamsim::{MissEvent, WordSize};
+    use streamsim_model::reference::ReferenceProfileBuilder;
+    let benches = corpus();
+    assert_eq!(benches.len(), 15);
+    for b in benches {
+        let block = b.trace.l1_block();
+        let word = WordSize::default();
+        let mut builder =
+            ReferenceProfileBuilder::new(block.bytes(), word.bytes(), b.trace.events().len());
+        for event in b.trace.events() {
+            match *event {
+                MissEvent::Fetch { addr, .. } => {
+                    builder.fetch(addr.block(block).index(), addr.word(word).index());
+                }
+                MissEvent::Writeback { base } => builder.writeback(base.block(block).index()),
+            }
+        }
+        let mut reference = builder.finish();
+        reference.l1_refs = b.trace.l1().refs();
+        reference.l1_misses = b.trace.l1().misses();
+        assert!(b.profile == reference, "{} profile drifted", b.name);
+    }
+}
+
 #[test]
 fn fig3_grid_within_tolerance() {
     let e = stream_grid_errors(&fig3_grid());
